@@ -1,13 +1,14 @@
 //! `determinism` — the double-run determinism harness (CI gate).
 //!
 //! Runs every wall `array_*` workload shape plus a 1000-client server round
-//! three times each — threaded, threaded again, unthreaded — and demands
-//! bit-identical trace digests, data digests, and simulated elapsed time.
-//! Exits nonzero on any divergence. Run with `ALTO_AUDIT=1` to keep the
-//! shadow auditor armed while the digests are taken:
+//! three times each — a run, a repeat, and a run with the §3.3 auditor
+//! armed — and demands bit-identical trace digests, data digests, and
+//! simulated elapsed time, with no audit violation. Exits nonzero on any
+//! divergence. Each leg sets the auditor itself, so `ALTO_AUDIT` does not
+//! change the result:
 //!
 //! ```text
-//! ALTO_AUDIT=1 cargo run --release -p alto-bench --bin determinism
+//! cargo run --release -p alto-bench --bin determinism
 //! cargo run --release -p alto-bench --bin determinism -- --json
 //! ```
 
@@ -20,18 +21,14 @@ const CLIENTS: usize = 1000;
 
 fn main() -> ExitCode {
     let json = std::env::args().any(|a| a == "--json");
-    let audit = std::env::var("ALTO_AUDIT").is_ok_and(|v| v == "1");
     if !json {
-        println!(
-            "determinism: {ARMS}-arm arrays, {CLIENTS}-client fleet, audit {}",
-            if audit { "armed" } else { "off" }
-        );
+        println!("determinism: {ARMS}-arm arrays, {CLIENTS}-client fleet, legs run/repeat/audited");
     }
     let reports = standard_suite(ARMS, CLIENTS);
     let mut clean = true;
     if json {
         println!("{{");
-        println!("  \"audit\": {audit},");
+        println!("  \"legs\": [\"run\", \"repeat\", \"audited\"],");
         println!("  \"workloads\": [");
         for (i, r) in reports.iter().enumerate() {
             let comma = if i + 1 < reports.len() { "," } else { "" };

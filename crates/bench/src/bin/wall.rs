@@ -8,7 +8,7 @@
 //! layer (§4 command chaining, the headline before/after trajectory),
 //! sequential streaming through the byte-stream and fs layers, random
 //! batches, scavenge sweeps, fault campaigns, and a dual-drive spanning
-//! batch that exercises the threaded drive timelines.
+//! batch that exercises the overlapped drive timelines.
 //!
 //! Run with:
 //!
@@ -18,8 +18,8 @@
 //!
 //! `--config seed|optimized|both` selects the measured configuration:
 //! `seed` recovers the pre-PR6 cost profile through the ablation switches
-//! (eager always-on tracing, no buffer pooling, serialized dual-drive
-//! arms); `optimized` is the shipping configuration. The emitted JSON holds
+//! (eager always-on tracing, no buffer pooling, buffered sequential reads);
+//! `optimized` is the shipping configuration. The emitted JSON holds
 //! one point per configuration, so `both` (the default) produces the
 //! before/after trajectory in one run. See `docs/PERFORMANCE.md`.
 
@@ -116,8 +116,6 @@ struct Config {
     eager_trace: bool,
     /// Sector-buffer / request-vector pooling in the disk and fs layers.
     pooling: bool,
-    /// Dual-drive arms on real OS threads.
-    threads: bool,
     /// Zero-copy sector views for the sequential-read workload (the seed
     /// had only the buffered `do_batch` path).
     views: bool,
@@ -127,7 +125,6 @@ const SEED: Config = Config {
     name: "seed-baseline",
     eager_trace: true,
     pooling: false,
-    threads: false,
     views: false,
 };
 
@@ -135,7 +132,6 @@ const OPTIMIZED: Config = Config {
     name: "optimized",
     eager_trace: false,
     pooling: true,
-    threads: true,
     views: true,
 };
 
@@ -352,15 +348,13 @@ fn campaign(cfg: Config, min_wall_ms: u64) -> Measurement {
 }
 
 /// A 96-request batch spanning both arms of a dual drive — 48 requests per
-/// unit, comfortably past the per-share threshold at which the optimized
-/// configuration puts the two arms on real host threads.
+/// unit, served on overlapped timelines.
 fn dual_batch(cfg: Config, min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let mut dual =
         DualDrive::with_formatted_packs(clock.clone(), trace.clone(), DiskModel::Diablo31);
     apply_config(cfg, &trace);
-    dual.set_threading_enabled(cfg.threads);
     let per = DiskDrive::with_formatted_pack(SimClock::new(), Trace::new(), DiskModel::Diablo31, 9)
         .geometry()
         .expect("geometry")
@@ -396,7 +390,6 @@ fn array_mixed(cfg: Config, min_wall_ms: u64) -> Measurement {
     let d1 = DiskDrive::with_formatted_pack(clock.clone(), trace.clone(), DiskModel::Diablo31, 2);
     let mut arr = DriveArray::new(vec![d0, d1], Placement::Range).expect("mixed range array");
     apply_config(cfg, &trace);
-    arr.set_threading_enabled(cfg.threads);
     let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xD1AB10);
     measure("array_mixed", &clock, min_wall_ms, || {
@@ -461,7 +454,6 @@ fn array_seq(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
         DiskModel::Diablo31,
     );
     apply_config(cfg, &trace);
-    arr.set_threading_enabled(cfg.threads);
     let mut batch: Vec<BatchRequest> = (0..SEQ_BATCH)
         .map(|i| BatchRequest::new(DiskAddress(i), SectorOp::READ_ALL, SectorBuf::zeroed()))
         .collect();
@@ -492,7 +484,6 @@ fn array_random(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
         DiskModel::Diablo31,
     );
     apply_config(cfg, &trace);
-    arr.set_threading_enabled(cfg.threads);
     let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xA44A1);
     measure(
@@ -525,7 +516,7 @@ fn array_random(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
 fn array_scavenge(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
-    let mut arr = DriveArray::with_arms(
+    let arr = DriveArray::with_arms(
         k,
         Placement::Range,
         clock.clone(),
@@ -533,7 +524,6 @@ fn array_scavenge(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
         DiskModel::Diablo31,
     );
     apply_config(cfg, &trace);
-    arr.set_threading_enabled(cfg.threads);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     for i in 0..10 {
@@ -614,8 +604,8 @@ fn print_point(cfg: &Config, rows: &[Measurement]) {
 fn json_point(cfg: &Config, rows: &[Measurement]) -> String {
     let mut out = format!("    {{\n      \"config\": \"{}\",\n", cfg.name);
     out.push_str(&format!(
-        "      \"eager_trace\": {}, \"pooling\": {}, \"threads\": {}, \"views\": {},\n",
-        cfg.eager_trace, cfg.pooling, cfg.threads, cfg.views
+        "      \"eager_trace\": {}, \"pooling\": {}, \"views\": {},\n",
+        cfg.eager_trace, cfg.pooling, cfg.views
     ));
     out.push_str("      \"workloads\": {\n");
     let inner: Vec<String> = rows

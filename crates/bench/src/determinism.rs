@@ -2,18 +2,20 @@
 //!
 //! The simulator's core promise is that simulated time and every observable
 //! it derives — trace streams, served bytes, scavenge verdicts — are a pure
-//! function of the workload: bit-identical run to run, with host threading
-//! on or off, with the shadow auditor armed or not. The static side of that
-//! promise is `cargo xtask analyze` (no hash-order iteration, no stray
-//! threads, no undisciplined clocks); this module is the runtime side.
+//! function of the workload: bit-identical run to run, with the shadow
+//! auditor armed or not. The static side of that promise is
+//! `cargo xtask analyze` (no hash-order iteration, no host threads, no
+//! undisciplined clocks); this module is the runtime side.
 //!
-//! Each workload is executed **three times**: threaded, threaded again, and
-//! unthreaded. The repeat catches in-process nondeterminism (every
-//! `HashMap` draws fresh hasher keys per instance, so hash-order leaks
-//! diverge even within one process); the threads-on/off pair catches any
-//! seam in the drive-array timeline merge. All three runs must produce the
-//! same [`RunDigest`]: a fold of the full trace stream, a fold of every
-//! data word the workload observed, and the final simulated elapsed time.
+//! Each workload is executed **three times**: a run, a repeat, and an
+//! audited run. Every leg sets the auditor explicitly, so the comparison
+//! holds whatever `ALTO_AUDIT` says. The repeat catches in-process
+//! nondeterminism (every `HashMap` draws fresh hasher keys per instance, so
+//! hash-order leaks diverge even within one process); the audited leg
+//! catches any way the auditor could move the simulation, and must record
+//! no violation. All three runs must produce the same [`RunDigest`]: a fold
+//! of the full trace stream, a fold of every data word the workload
+//! observed, and the final simulated elapsed time.
 
 use alto_disk::{
     BatchRequest, Disk, DiskAddress, DiskModel, DriveArray, Placement, SectorBuf, SectorOp,
@@ -91,14 +93,14 @@ fn digest_trace(trace: &Trace) -> u64 {
 #[derive(Debug)]
 pub struct WorkloadReport {
     pub name: &'static str,
-    pub threaded: RunDigest,
-    pub threaded_again: RunDigest,
-    pub unthreaded: RunDigest,
+    pub run: RunDigest,
+    pub repeat: RunDigest,
+    pub audited: RunDigest,
 }
 
 impl WorkloadReport {
     pub fn identical(&self) -> bool {
-        self.threaded == self.threaded_again && self.threaded == self.unthreaded
+        self.run == self.repeat && self.run == self.audited
     }
 
     /// A compact one-line summary, flagging the first divergence if any.
@@ -106,12 +108,12 @@ impl WorkloadReport {
         if self.identical() {
             format!(
                 "{:<16} ok  trace {:016x}  data {:016x}  sim {} ns",
-                self.name, self.threaded.trace, self.threaded.data, self.threaded.sim_ns
+                self.name, self.run.trace, self.run.data, self.run.sim_ns
             )
         } else {
             format!(
-                "{:<16} DIVERGED  threaded {:?}  repeat {:?}  unthreaded {:?}",
-                self.name, self.threaded, self.threaded_again, self.unthreaded
+                "{:<16} DIVERGED  run {:?}  repeat {:?}  audited {:?}",
+                self.name, self.run, self.repeat, self.audited
             )
         }
     }
@@ -121,30 +123,35 @@ impl WorkloadReport {
             "    {{ \"workload\": \"{}\", \"identical\": {}, \"trace\": \"{:016x}\", \"data\": \"{:016x}\", \"sim_ns\": {} }}",
             self.name,
             self.identical(),
-            self.threaded.trace,
-            self.threaded.data,
-            self.threaded.sim_ns
+            self.run.trace,
+            self.run.data,
+            self.run.sim_ns
         )
     }
 }
 
-/// Runs `f` threaded, threaded again, and unthreaded.
+/// Runs `f` with the auditor off, off again, and armed (`f`'s argument).
 pub fn triple_run(name: &'static str, f: impl Fn(bool) -> RunDigest) -> WorkloadReport {
     WorkloadReport {
         name,
-        threaded: f(true),
-        threaded_again: f(true),
-        unthreaded: f(false),
+        run: f(false),
+        repeat: f(false),
+        audited: f(true),
     }
 }
 
-/// Batch size for the array workloads: large enough that every arm's share
-/// clears the drive array's per-arm threading threshold, so the threaded
-/// runs really exercise the scoped-thread timeline merge.
+/// Requests per array batch; the digests in EXPERIMENTS.md E12 were taken
+/// with this shape.
 const ARRAY_BATCH: u16 = 1024;
 const ARRAY_ROUNDS: usize = 12;
 
-fn array(k: usize, placement: Placement, threads: bool) -> (SimClock, Trace, DriveArray) {
+/// Panics if the auditor recorded a §3.3 violation against `disk` (an
+/// unaudited disk has none).
+fn assert_audit_clean(disk: &impl Disk) {
+    assert_eq!(disk.audit_violations(), 0, "audit violations recorded");
+}
+
+fn array(k: usize, placement: Placement, audit: bool) -> (SimClock, Trace, DriveArray) {
     let clock = SimClock::new();
     let trace = Trace::new();
     trace.set_enabled(true);
@@ -155,14 +162,14 @@ fn array(k: usize, placement: Placement, threads: bool) -> (SimClock, Trace, Dri
         trace.clone(),
         DiskModel::Diablo31,
     );
-    arr.set_threading_enabled(threads);
+    arr.set_audit_enabled(audit);
     (clock, trace, arr)
 }
 
 /// Chained sequential reads across all K arms (hash placement interleaves
 /// consecutive addresses onto every arm).
-pub fn array_seq(k: usize, threads: bool) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Hash, threads);
+pub fn array_seq(k: usize, audit: bool) -> RunDigest {
+    let (clock, trace, mut arr) = array(k, Placement::Hash, audit);
     let mut data = Fold::default();
     for _ in 0..ARRAY_ROUNDS {
         let mut batch: Vec<BatchRequest> = (0..ARRAY_BATCH)
@@ -177,6 +184,7 @@ pub fn array_seq(k: usize, threads: bool) -> RunDigest {
             data.words(&req.buf.data);
         }
     }
+    assert_audit_clean(&arr);
     RunDigest {
         trace: digest_trace(&trace),
         data: data.value(),
@@ -185,8 +193,8 @@ pub fn array_seq(k: usize, threads: bool) -> RunDigest {
 }
 
 /// Seeded-random read batches over the whole K-arm address space.
-pub fn array_random(k: usize, threads: bool) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Hash, threads);
+pub fn array_random(k: usize, audit: bool) -> RunDigest {
+    let (clock, trace, mut arr) = array(k, Placement::Hash, audit);
     let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xDE7E);
     let mut data = Fold::default();
@@ -206,6 +214,7 @@ pub fn array_random(k: usize, threads: bool) -> RunDigest {
             data.words(&req.buf.data);
         }
     }
+    assert_audit_clean(&arr);
     RunDigest {
         trace: digest_trace(&trace),
         data: data.value(),
@@ -215,9 +224,8 @@ pub fn array_random(k: usize, threads: bool) -> RunDigest {
 
 /// Populate a K-pack file system, then run a full scavenger rebuild —
 /// phases 1 and 3 sweep every pack in interleaved per-arm batches.
-pub fn array_scavenge(k: usize, threads: bool) -> RunDigest {
-    let (clock, trace, mut arr) = array(k, Placement::Range, threads);
-    arr.set_threading_enabled(threads);
+pub fn array_scavenge(k: usize, audit: bool) -> RunDigest {
+    let (clock, trace, arr) = array(k, Placement::Range, audit);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     for i in 0..12 {
@@ -239,6 +247,7 @@ pub fn array_scavenge(k: usize, threads: bool) -> RunDigest {
             .expect("present");
         data.bytes(&fs.read_file(f).expect("read back"));
     }
+    assert_audit_clean(fs.disk());
     RunDigest {
         trace: digest_trace(&trace),
         data: data.value(),
@@ -251,7 +260,7 @@ pub fn array_scavenge(k: usize, threads: bool) -> RunDigest {
 /// data digest folds the fleet's order-independent served-word digest with
 /// the server's counters, so a lost, reordered, or double-served page
 /// diverges it.
-pub fn server_round(clients: usize, drives: usize, threads: bool) -> RunDigest {
+pub fn server_round(clients: usize, drives: usize, audit: bool) -> RunDigest {
     const FILES: usize = 16;
     const PAGES: u16 = 8;
     let clock = SimClock::new();
@@ -264,7 +273,7 @@ pub fn server_round(clients: usize, drives: usize, threads: bool) -> RunDigest {
         trace.clone(),
         DiskModel::Trident,
     );
-    arr.set_threading_enabled(threads);
+    arr.set_audit_enabled(audit);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     let names: Vec<String> = (0..FILES).map(|f| format!("det{f}.dat")).collect();
@@ -293,6 +302,7 @@ pub fn server_round(clients: usize, drives: usize, threads: bool) -> RunDigest {
     data.u64(server.stats.served);
     data.u64(server.stats.errors);
     data.u64(server.stats.send_failures);
+    assert_audit_clean(fs.disk());
     RunDigest {
         trace: digest_trace(&trace),
         data: data.value(),

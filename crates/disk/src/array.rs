@@ -21,13 +21,12 @@
 //!   addresses interleave across all arms, so even one sequential chain
 //!   parallelizes N ways.
 //!
-//! Large per-arm shares run on real host threads (scoped, one per arm
-//! beyond the first) against private clocks and traces; the join restores
-//! elapsed = max-of-arms and absorbs the private traces in arm order, so
-//! the simulated outcome — results, timing, trace events — is bit-identical
-//! to the serial replay. `set_overlap_enabled(false)` serializes the arms
-//! on the shared timeline (the ablation), and a one-arm array degenerates
-//! to a plain pass-through.
+//! One routine routes, splits and overlaps both the buffered and the
+//! zero-copy batch forms. The arms' shares run one after another on the
+//! caller's thread, each from the batch's start instant on the shared
+//! clock, and the clock then moves to the latest finish.
+//! `set_overlap_enabled(false)` serializes the arms on the shared timeline
+//! (the ablation), and a one-arm array degenerates to a plain pass-through.
 
 use alto_sim::{SimClock, SimTime, Trace};
 
@@ -37,13 +36,7 @@ use crate::geometry::{DiskAddress, DiskGeometry};
 use crate::pool;
 use crate::sched::BatchRequest;
 use crate::sector::{SectorBuf, SectorOp};
-
-/// Minimum per-arm share before a spanning batch is worth real host
-/// threads: the scoped spawn and join cost tens of microseconds of wall
-/// time per batch, so small shares keep the serial replay (the simulated
-/// outcome is bit-identical either way — see
-/// [`DriveArray::set_threading_enabled`]).
-const THREAD_MIN_SHARE: usize = 128;
+use crate::view::SectorView;
 
 /// How a global disk address is assigned to an arm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,23 +64,117 @@ pub struct DriveArray {
     total: u32,
     shape: DiskGeometry,
     overlap: bool,
-    threads: bool,
     overlap_batches: u64,
-    threaded_batches: u64,
     overlap_saved: SimTime,
-    /// Per-arm `(original indices, translated requests)` split storage,
-    /// kept across batches so the steady state allocates nothing.
-    scratch: Vec<(Vec<usize>, Vec<BatchRequest>)>,
-    /// Per-arm `(original indices, local addresses)` split storage for
-    /// zero-copy batch reads, likewise recycled across batches.
-    read_scratch: Vec<(Vec<usize>, Vec<DiskAddress>)>,
-    /// Per-arm result storage, likewise recycled across batches.
-    sub_results: Vec<Vec<Result<(), DiskError>>>,
-    elapsed: Vec<SimTime>,
-    /// Persistent private per-arm timelines for threaded batches (clock and
-    /// trace handles are shared cells, so clones swap in and out cheaply).
-    private: Vec<(SimClock, Trace)>,
-    originals: Vec<Option<(SimClock, Trace)>>,
+    /// Per-arm `(original indices, local addresses)` split storage, kept
+    /// across batches so the steady state allocates nothing.
+    split: Vec<(Vec<usize>, Vec<DiskAddress>)>,
+    /// One arm's translated share of a buffered batch, likewise recycled.
+    share: Vec<BatchRequest>,
+}
+
+/// How a batch form hands an arm its share: the one thing `do_batch` and
+/// `do_batch_read` differ in.
+trait Form {
+    /// Request `i`'s global address.
+    fn da(&self, i: usize) -> DiskAddress;
+
+    /// Serves requests `idxs` (indices into the batch) at the arm-local
+    /// addresses `locals` on `arm`, one result per request.
+    fn serve(
+        &mut self,
+        arm: &mut DiskDrive,
+        idxs: &[usize],
+        locals: &[DiskAddress],
+    ) -> Vec<Result<(), DiskError>>;
+}
+
+/// Buffered requests, translated to each arm's physical view on the way in
+/// and back to the caller's global view on the way out.
+struct Buffered<'b> {
+    batch: &'b mut [BatchRequest],
+    share: &'b mut Vec<BatchRequest>,
+    pack0: Option<u16>,
+}
+
+impl Form for Buffered<'_> {
+    fn da(&self, i: usize) -> DiskAddress {
+        self.batch[i].da
+    }
+
+    fn serve(
+        &mut self,
+        arm: &mut DiskDrive,
+        idxs: &[usize],
+        locals: &[DiskAddress],
+    ) -> Vec<Result<(), DiskError>> {
+        let packs = self.pack0.zip(arm.pack_number().ok());
+        self.share.clear();
+        for (&i, &local) in idxs.iter().zip(locals) {
+            let req = &mut self.batch[i];
+            let mut buf = std::mem::take(&mut req.buf);
+            localize(&mut buf, packs, req.da, local);
+            self.share.push(BatchRequest::new(local, req.op, buf));
+        }
+        let results = arm.do_batch(self.share);
+        for ((&i, done), result) in idxs.iter().zip(self.share.iter_mut()).zip(&results) {
+            let req = &mut self.batch[i];
+            globalize(&mut done.buf, result, done.da, req.da);
+            req.buf = std::mem::take(&mut done.buf);
+        }
+        results
+    }
+}
+
+/// Zero-copy reads: each arm lends its own platter sectors, so a view's
+/// header carries the arm-local address — callers verify pages by *label*
+/// (fid, page number), which is position-independent.
+struct Lent<'d, F> {
+    das: &'d [DiskAddress],
+    visit: F,
+}
+
+impl<F: FnMut(usize, SectorView<'_>)> Form for Lent<'_, F> {
+    fn da(&self, i: usize) -> DiskAddress {
+        self.das[i]
+    }
+
+    fn serve(
+        &mut self,
+        arm: &mut DiskDrive,
+        idxs: &[usize],
+        locals: &[DiskAddress],
+    ) -> Vec<Result<(), DiskError>> {
+        let visit = &mut self.visit;
+        arm.do_batch_read(locals, |j, view| visit(idxs[j], view))
+    }
+}
+
+/// Translates a request's header pattern from the caller's global view to
+/// the physical sector's: each sector self-identifies with its own pack's
+/// number (`packs` is arm 0's and the serving arm's) and its local address.
+/// Zero stays zero: it is the check wildcard.
+fn localize(buf: &mut SectorBuf, packs: Option<(u16, u16)>, da: DiskAddress, local: DiskAddress) {
+    if let Some((pack0, unit)) = packs {
+        if buf.header[0] == pack0 {
+            buf.header[0] = unit;
+        }
+    }
+    if buf.header[1] == da.0 && da.0 != 0 {
+        buf.header[1] = local.0;
+    }
+}
+
+/// Translates a served sector's local self-address back to the global one.
+fn globalize(
+    buf: &mut SectorBuf,
+    result: &Result<(), DiskError>,
+    local: DiskAddress,
+    da: DiskAddress,
+) {
+    if result.is_ok() && buf.header[1] == local.0 {
+        buf.header[1] = da.0;
+    }
 }
 
 impl DriveArray {
@@ -148,18 +235,10 @@ impl DriveArray {
             total,
             shape,
             overlap: true,
-            threads: true,
             overlap_batches: 0,
-            threaded_batches: 0,
             overlap_saved: SimTime::ZERO,
-            scratch: (0..count).map(|_| Default::default()).collect(),
-            read_scratch: (0..count).map(|_| Default::default()).collect(),
-            sub_results: (0..count).map(|_| Vec::new()).collect(),
-            elapsed: vec![SimTime::ZERO; count],
-            private: (0..count)
-                .map(|_| (SimClock::new(), Trace::new()))
-                .collect(),
-            originals: (0..count).map(|_| None).collect(),
+            split: (0..count).map(|_| Default::default()).collect(),
+            share: Vec::new(),
         })
     }
 
@@ -234,21 +313,10 @@ impl DriveArray {
         self.overlap = enabled;
     }
 
-    /// Enables or disables *host threads* for overlapped spanning batches
-    /// (enabled by default). With threads on, each arm's share runs on its
-    /// own scoped OS thread against a private clock and trace, and the join
-    /// restores elapsed = max of the arms — the same simulated time, trace
-    /// contents and results as the serial replay, bit for bit; the only
-    /// difference is wall-clock. Small shares (< `THREAD_MIN_SHARE` per
-    /// arm) always use the serial replay, since the spawn would cost more
-    /// than it saves.
-    pub fn set_threading_enabled(&mut self, enabled: bool) {
-        self.threads = enabled;
-    }
-
-    /// How many spanning batches actually ran on real threads.
+    /// Batches run on host threads: always 0, since every arm's share runs
+    /// on the caller's thread. Kept for reports that still print the count.
     pub fn threaded_batches(&self) -> u64 {
-        self.threaded_batches
+        0
     }
 
     /// Sets the retry limit on every arm (see [`DiskDrive::set_retries`]).
@@ -256,6 +324,79 @@ impl DriveArray {
         for d in &mut self.arms {
             d.set_retries(retries);
         }
+    }
+
+    /// The one route/split/overlap routine. Requests are split by arm
+    /// (stable within each arm, so per-arm chaining still sees sorted runs)
+    /// and results land back in the batch's original order. Every arm has
+    /// its own head assembly and data path, so a batch that spans arms runs
+    /// each share from the same start instant and the clock ends at the
+    /// *last* finish (elapsed = max over the arms, not the sum). `what`
+    /// names the requests in the `disk.io.overlap` event.
+    fn spread<F: Form>(
+        &mut self,
+        n: usize,
+        form: &mut F,
+        what: &str,
+    ) -> Vec<Result<(), DiskError>> {
+        // The result vector comes from the free lists and the split storage
+        // is kept on the adapter, so the steady state allocates nothing.
+        let mut results = pool::results_vec();
+        results.extend((0..n).map(|_| Ok(())));
+        let mut split = std::mem::take(&mut self.split);
+        for (idxs, locals) in &mut split {
+            idxs.clear();
+            locals.clear();
+        }
+        for (i, slot) in results.iter_mut().enumerate() {
+            let da = form.da(i);
+            if da.is_nil() || (da.0 as u32) >= self.total {
+                *slot = Err(DiskError::InvalidAddress(da));
+                continue;
+            }
+            let (arm, local) = self.route(da);
+            split[arm].0.push(i);
+            split[arm].1.push(local);
+        }
+        let occupied = split.iter().filter(|(idxs, _)| !idxs.is_empty()).count();
+        let overlapped = self.overlap && occupied >= 2;
+        let clock = self.arms[0].clock().clone();
+        let t0 = clock.now();
+        let (mut longest, mut total) = (SimTime::ZERO, SimTime::ZERO);
+        for (drive, (idxs, locals)) in self.arms.iter_mut().zip(&split) {
+            if idxs.is_empty() {
+                continue;
+            }
+            if overlapped {
+                clock.set(t0);
+            }
+            let sub = form.serve(drive, idxs, locals);
+            let elapsed = clock.now() - t0;
+            longest = longest.max(elapsed);
+            total += elapsed;
+            for (&i, &result) in idxs.iter().zip(sub.iter()) {
+                results[i] = result;
+            }
+            pool::recycle_results(sub);
+        }
+        if overlapped {
+            let saved = total - longest;
+            clock.set(t0 + longest);
+            self.overlap_batches += 1;
+            self.overlap_saved += saved;
+            self.arms[0]
+                .trace()
+                .record_with(clock.now(), "disk.io.overlap", || {
+                    let counts = split
+                        .iter()
+                        .map(|(idxs, _)| idxs.len().to_string())
+                        .collect::<Vec<_>>()
+                        .join("+");
+                    format!("{counts} {what}requests overlapped, {saved} saved")
+                });
+        }
+        self.split = split;
+        results
     }
 }
 
@@ -301,249 +442,29 @@ impl Disk for DriveArray {
             return Err(DiskError::InvalidAddress(da));
         }
         let (arm, local) = self.route(da);
-        // The physical sector self-identifies with its *pack's* number and
-        // its *local* address; translate the caller's global view on the
-        // way in (zero stays zero: it is the check wildcard) and back on
-        // the way out.
-        if buf.header[0] == self.arms[0].pack_number()? {
-            buf.header[0] = self.arms[arm].pack_number()?;
-        }
-        if buf.header[1] == da.0 && da.0 != 0 {
-            buf.header[1] = local.0;
-        }
+        let packs = (self.arms[0].pack_number()?, self.arms[arm].pack_number()?);
+        localize(buf, Some(packs), da, local);
         let result = self.arms[arm].do_op(local, op, buf);
-        if result.is_ok() && buf.header[1] == local.0 {
-            buf.header[1] = da.0;
-        }
+        globalize(buf, &result, local, da);
         result
     }
 
-    fn do_batch_read<F>(&mut self, das: &[DiskAddress], mut visit: F) -> Vec<Result<(), DiskError>>
+    fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
     where
-        F: FnMut(usize, crate::view::SectorView<'_>),
+        F: FnMut(usize, SectorView<'_>),
     {
-        // Split the addresses by arm so each drive runs its own zero-copy
-        // chain; results land back in the request's original order and the
-        // visitor sees original indices. The shares run on overlapped
-        // timelines exactly like `do_batch` (elapsed = max over the arms),
-        // but always as the serial replay: the borrowed visitor cannot
-        // cross host threads, and the simulated outcome is identical
-        // either way. Views lend each arm's platter sectors directly, so
-        // their headers carry the arm-local address — callers verify pages
-        // by *label* (fv, page number), which is position-independent.
-        let mut results = pool::results_vec();
-        results.extend(das.iter().map(|_| Ok(())));
-        let mut split = std::mem::take(&mut self.read_scratch);
-        for (idxs, locals) in &mut split {
-            idxs.clear();
-            locals.clear();
-        }
-        for (i, &da) in das.iter().enumerate() {
-            if da.is_nil() || (da.0 as u32) >= self.total {
-                results[i] = Err(DiskError::InvalidAddress(da));
-                continue;
-            }
-            let (arm, local) = self.route(da);
-            split[arm].0.push(i);
-            split[arm].1.push(local);
-        }
-        let occupied = split.iter().filter(|(idxs, _)| !idxs.is_empty()).count();
-        let overlapped = self.overlap && occupied >= 2;
-        let clock = self.arms[0].clock().clone();
-        let t0 = clock.now();
-        self.elapsed.clear();
-        self.elapsed.resize(self.arms.len(), SimTime::ZERO);
-        for (arm, (idxs, locals)) in split.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            if overlapped {
-                clock.set(t0);
-            }
-            let sub = self.arms[arm].do_batch_read(locals, |j, view| visit(idxs[j], view));
-            self.elapsed[arm] = clock.now() - t0;
-            for (&i, &res) in idxs.iter().zip(sub.iter()) {
-                results[i] = res;
-            }
-            pool::recycle_results(sub);
-        }
-        if overlapped {
-            let longest = self.elapsed.iter().copied().max().unwrap_or(SimTime::ZERO);
-            let saved = self.elapsed.iter().fold(SimTime::ZERO, |acc, &e| acc + e) - longest;
-            clock.set(t0 + longest);
-            self.overlap_batches += 1;
-            self.overlap_saved += saved;
-            let trace = self.arms[0].trace();
-            trace.record_with(clock.now(), "disk.io.overlap", || {
-                let counts = split
-                    .iter()
-                    .map(|(idxs, _)| idxs.len().to_string())
-                    .collect::<Vec<_>>()
-                    .join("+");
-                format!("{counts} read requests overlapped, {saved} saved")
-            });
-        }
-        self.read_scratch = split;
-        results
+        self.spread(das.len(), &mut Lent { das, visit }, "read ")
     }
 
     fn do_batch(&mut self, batch: &mut [BatchRequest]) -> Vec<Result<(), DiskError>> {
-        // Split the batch by arm so each drive schedules (and chains) its
-        // own share; addresses and headers are translated exactly as in
-        // `do_op`, and results land back in the batch's original order.
-        // The result vector comes from the free lists and the split storage
-        // is kept on the adapter, so the steady state allocates nothing.
-        let mut results = pool::results_vec();
-        results.extend(batch.iter().map(|_| Ok(())));
-        let pack0 = self.arms[0].pack_number().ok();
-        let mut split = std::mem::take(&mut self.scratch);
-        for (idxs, sub) in &mut split {
-            idxs.clear();
-            sub.clear();
-        }
-        for (i, req) in batch.iter_mut().enumerate() {
-            let da = req.da;
-            if da.is_nil() || (da.0 as u32) >= self.total {
-                results[i] = Err(DiskError::InvalidAddress(da));
-                continue;
-            }
-            let (arm, local) = self.route(da);
-            let mut buf = std::mem::take(&mut req.buf);
-            if let (Some(p0), Some(pu)) = (pack0, self.arms[arm].pack_number().ok()) {
-                if buf.header[0] == p0 {
-                    buf.header[0] = pu;
-                }
-            }
-            if buf.header[1] == da.0 && da.0 != 0 {
-                buf.header[1] = local.0;
-            }
-            split[arm].0.push(i);
-            split[arm].1.push(BatchRequest::new(local, req.op, buf));
-        }
-
-        // Every arm has its own head assembly and data path, so a batch
-        // that spans arms runs the shares concurrently: each share runs
-        // from the same start instant, then the clock is set to the *last*
-        // finish (elapsed = max over the arms, not the sum). Large shares
-        // run on scoped host threads against private clocks and traces;
-        // small ones replay serially on the shared timeline — the simulated
-        // outcome is identical. The ablation (`set_overlap_enabled(false)`)
-        // keeps the serialized timeline.
-        let occupied = split.iter().filter(|(idxs, _)| !idxs.is_empty()).count();
-        let overlapped = self.overlap && occupied >= 2;
-        let threaded = overlapped
-            && self.threads
-            && split
-                .iter()
-                .all(|(idxs, _)| idxs.is_empty() || idxs.len() >= THREAD_MIN_SHARE);
-        let clock = self.arms[0].clock().clone();
-        let t0 = clock.now();
-        self.elapsed.clear();
-        self.elapsed.resize(self.arms.len(), SimTime::ZERO);
-        let mut sub_results = std::mem::take(&mut self.sub_results);
-        if threaded {
-            // Give each occupied arm a private timeline starting at the
-            // shared instant and a private trace, so the threads never
-            // contend; the handles are shared cells, so persistent private
-            // clocks and traces swap in as cheap clones.
-            let shared_trace = self.arms[0].trace().clone();
-            let enabled = shared_trace.enabled();
-            for (arm, slot) in self.originals.iter_mut().enumerate() {
-                if split[arm].0.is_empty() {
-                    continue;
-                }
-                let (pc, pt) = &self.private[arm];
-                pc.set(t0);
-                pt.clear();
-                pt.set_enabled(enabled);
-                let oc = self.arms[arm].swap_clock(pc.clone());
-                let ot = self.arms[arm].swap_trace(pt.clone());
-                *slot = Some((oc, ot));
-            }
-            // One scoped thread per occupied arm beyond the first, which
-            // runs inline on this thread; the scope exit is the join, so
-            // every share is done before anything below runs.
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(self.arms.len());
-                let mut inline: Option<(usize, &mut DiskDrive, &mut Vec<BatchRequest>)> = None;
-                for ((arm, drive), (idxs, sub)) in
-                    self.arms.iter_mut().enumerate().zip(split.iter_mut())
-                {
-                    if idxs.is_empty() {
-                        continue;
-                    }
-                    match inline {
-                        None => inline = Some((arm, drive, sub)),
-                        Some(_) => handles.push((arm, s.spawn(move || drive.do_batch(sub)))),
-                    }
-                }
-                if let Some((arm, drive, sub)) = inline {
-                    sub_results[arm] = drive.do_batch(sub);
-                }
-                for (arm, handle) in handles {
-                    sub_results[arm] = handle.join().expect("drive-array arm thread panicked");
-                }
-            });
-            for (arm, slot) in self.originals.iter_mut().enumerate() {
-                let Some((oc, ot)) = slot.take() else {
-                    continue;
-                };
-                let pc = self.arms[arm].swap_clock(oc);
-                let pt = self.arms[arm].swap_trace(ot);
-                self.elapsed[arm] = pc.now() - t0;
-                // Absorbing in arm order reproduces the exact event order
-                // the serial replay records.
-                shared_trace.absorb(&pt);
-                pt.clear();
-            }
-            self.threaded_batches += 1;
-        } else {
-            for (arm, (idxs, sub)) in split.iter_mut().enumerate() {
-                if idxs.is_empty() {
-                    continue;
-                }
-                if overlapped {
-                    clock.set(t0);
-                }
-                sub_results[arm] = self.arms[arm].do_batch(sub);
-                self.elapsed[arm] = clock.now() - t0;
-            }
-        }
-        for (arm, (idxs, sub)) in split.iter_mut().enumerate() {
-            for ((&i, done), res) in idxs
-                .iter()
-                .zip(sub.iter_mut())
-                .zip(sub_results[arm].drain(..))
-            {
-                let da = batch[i].da;
-                if res.is_ok() && done.buf.header[1] == done.da.0 {
-                    done.buf.header[1] = da.0;
-                }
-                batch[i].buf = std::mem::take(&mut done.buf);
-                results[i] = res;
-            }
-        }
-        if overlapped {
-            let longest = self.elapsed.iter().copied().max().unwrap_or(SimTime::ZERO);
-            let saved = self.elapsed.iter().fold(SimTime::ZERO, |acc, &e| acc + e) - longest;
-            clock.set(t0 + longest);
-            self.overlap_batches += 1;
-            self.overlap_saved += saved;
-            let trace = self.arms[0].trace();
-            trace.record_with(clock.now(), "disk.io.overlap", || {
-                let counts = split
-                    .iter()
-                    .map(|(idxs, _)| idxs.len().to_string())
-                    .collect::<Vec<_>>()
-                    .join("+");
-                format!("{counts} requests overlapped, {saved} saved")
-            });
-        }
-        for v in &mut sub_results {
-            pool::recycle_results(std::mem::take(v));
-        }
-        self.sub_results = sub_results;
-        self.scratch = split;
+        let mut share = std::mem::take(&mut self.share);
+        let mut form = Buffered {
+            pack0: self.arms[0].pack_number().ok(),
+            batch,
+            share: &mut share,
+        };
+        let results = self.spread(form.batch.len(), &mut form, "");
+        self.share = share;
         results
     }
 
@@ -887,44 +808,6 @@ mod tests {
             "the replanned arm pays for its rescheduling"
         );
         assert_eq!(all, longest);
-    }
-
-    #[test]
-    fn threaded_array_batch_is_bit_identical_to_serial_replay() {
-        // Same bar as the dual-drive shim, at K = 4: host threads must not
-        // change results, simulated elapsed time, trace events or buffer
-        // contents — bit for bit.
-        let run = |threads: bool| {
-            let mut d = array(4, Placement::Hash);
-            d.set_threading_enabled(threads);
-            let mut batch: Vec<BatchRequest> = (0..640u16)
-                .map(|i| {
-                    let local = 100 + 53 * (i / 4) % 4000;
-                    let da = d.unroute((i % 4) as usize, DiskAddress(local));
-                    BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed())
-                })
-                .collect();
-            let t0 = d.clock().now();
-            let results = d.do_batch(&mut batch);
-            assert_eq!(d.threaded_batches(), u64::from(threads));
-            let events: Vec<(SimTime, &str, String)> = d
-                .trace()
-                .events()
-                .into_iter()
-                .map(|e| (e.at, e.tag, e.detail.clone()))
-                .collect();
-            (d.clock().now() - t0, results, events, batch)
-        };
-        let (serial_dt, serial_results, serial_events, serial_batch) = run(false);
-        let (threaded_dt, threaded_results, threaded_events, threaded_batch) = run(true);
-        assert_eq!(threaded_dt, serial_dt);
-        assert_eq!(threaded_results, serial_results);
-        assert_eq!(threaded_events, serial_events);
-        for (a, b) in serial_batch.iter().zip(&threaded_batch) {
-            assert_eq!(a.buf.header, b.buf.header);
-            assert_eq!(a.buf.label, b.buf.label);
-            assert_eq!(a.buf.data, b.buf.data);
-        }
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! time to the shared [`SimClock`], then applies the operation with full
 //! check semantics ([`crate::sector::apply`]).
 //!
+//! The drive has one mechanism, the §4 chained command: a per-sector step
+//! (seek, rotational wait, transfer, check-then-act) inside one chain
+//! routine (precheck, command set-up, plan, service in plan order, halt and
+//! replan on failure). [`Disk::do_op`], [`Disk::do_batch`],
+//! [`Disk::do_batch_read`] and [`Disk::do_batch_write`] differ only in how a
+//! request meets its sector: an owned buffer, a lent view, or a borrowed
+//! write source checked in place. With the §3.3 auditor or a fault armed,
+//! every request is staged through a buffer inside the same step.
+//!
 //! [`Disk`] is the *abstract disk object* of §2/§5.2: the file system is
 //! generic over it, so "a program using a large non-standard disk" can
 //! provide its own implementation and still use the standard disk-stream
@@ -19,7 +28,7 @@ use crate::inject::FaultInjector;
 use crate::pack::DiskPack;
 use crate::pool;
 use crate::sched::{self, BatchRequest};
-use crate::sector::{apply, check_part, Action, SectorBuf, SectorOp};
+use crate::sector::{apply, check_part, Action, Sector, SectorBuf, SectorOp};
 use crate::timing::TimingModel;
 use crate::view::{SectorView, WriteSource};
 
@@ -100,7 +109,7 @@ pub trait Disk {
     /// and `visit` is lent the serviced sector (post-write, so the label a
     /// passed check captured is exactly what the view shows) at most once
     /// per request, never for a failed one. The write-side twin of
-    /// [`DiskDrive::do_batch_read`].
+    /// [`Disk::do_batch_read`].
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
     /// results, timing, stats and traces, just with the 256-word copy in —
@@ -349,7 +358,7 @@ pub struct DiskDrive {
     scratch: BatchScratch,
 }
 
-/// Per-drive working storage for [`Disk::do_batch`], kept across batches so
+/// Per-drive working storage for the chain routine, kept across batches so
 /// the steady state replans and reschedules without heap allocation.
 #[derive(Debug, Default)]
 struct BatchScratch {
@@ -363,41 +372,383 @@ struct BatchScratch {
     plan: sched::PlanScratch,
 }
 
-/// Hot-path counters the zero-copy batch read accumulates in locals and
-/// flushes into [`DriveStats`] once per batch — the totals are identical,
-/// only the per-sector read-modify-writes on the shared struct go away.
-#[derive(Debug, Default)]
-struct ViewChainStats {
-    ops: u64,
-    sectors_read: u64,
-    write_ops: u64,
-    sectors_written: u64,
-    failed_checks: u64,
-    seeks: u64,
-    seek_time: SimTime,
-    rotational_wait: SimTime,
-    transfer_time: SimTime,
-}
-
-impl ViewChainStats {
-    fn flush_into(self, stats: &mut DriveStats) {
-        stats.ops += self.ops;
-        stats.sectors_read += self.sectors_read;
-        stats.write_ops += self.write_ops;
-        stats.sectors_written += self.sectors_written;
-        stats.failed_checks += self.failed_checks;
-        stats.seeks += self.seeks;
-        stats.seek_time += self.seek_time;
-        stats.rotational_wait += self.rotational_wait;
-        stats.transfer_time += self.transfer_time;
-    }
-}
-
 #[derive(Debug)]
 struct Loaded {
     pack: DiskPack,
     timing: TimingModel,
     cylinder: u16,
+}
+
+/// How a request meets its sector: the one thing the batch forms differ
+/// in. The chain routine is generic over it, so each form compiles to its
+/// own loop.
+trait Meet {
+    /// Request `i`'s address.
+    fn da(&self, i: usize) -> DiskAddress;
+
+    /// Request `i`'s operation.
+    fn op(&self, i: usize) -> SectorOp;
+
+    /// Runs `serve` on request `i` staged in a memory buffer (its own, or
+    /// one loaded from its source), then lends that buffer to the visitor
+    /// if `serve` succeeded.
+    fn staged(
+        &mut self,
+        i: usize,
+        serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError>;
+
+    /// Performs request `i` directly on its platter sector. Called only
+    /// with no auditor or fault armed and sound media; the default stages.
+    fn in_place(
+        &mut self,
+        i: usize,
+        da: DiskAddress,
+        sector: &mut Sector,
+    ) -> Result<(), DiskError> {
+        let op = self.op(i);
+        self.staged(i, |buf| apply(op, da, sector, buf))
+    }
+
+    /// Lends request `i`'s sector, just served in place, to the visitor.
+    fn lend(&mut self, _i: usize, _view: SectorView<'_>) {}
+}
+
+/// [`Disk::do_batch`]: every request owns its buffer and any operation.
+impl Meet for [BatchRequest] {
+    fn da(&self, i: usize) -> DiskAddress {
+        self[i].da
+    }
+
+    fn op(&self, i: usize) -> SectorOp {
+        self[i].op
+    }
+
+    fn staged(
+        &mut self,
+        i: usize,
+        serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
+        serve(&mut self[i].buf)
+    }
+}
+
+/// [`Disk::do_op`]: one request in the caller's buffer.
+struct One<'b> {
+    da: DiskAddress,
+    op: SectorOp,
+    buf: &'b mut SectorBuf,
+}
+
+impl Meet for One<'_> {
+    fn da(&self, _: usize) -> DiskAddress {
+        self.da
+    }
+
+    fn op(&self, _: usize) -> SectorOp {
+        self.op
+    }
+
+    fn staged(
+        &mut self,
+        _: usize,
+        serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
+        serve(self.buf)
+    }
+}
+
+/// [`Disk::do_batch_read`]: `READ_ALL`, each served sector lent to
+/// `visit` — the platter sector itself when served in place, else `buf`.
+struct Lend<'d, F> {
+    das: &'d [DiskAddress],
+    visit: F,
+    buf: SectorBuf,
+}
+
+impl<F: FnMut(usize, SectorView<'_>)> Meet for Lend<'_, F> {
+    fn da(&self, i: usize) -> DiskAddress {
+        self.das[i]
+    }
+
+    fn op(&self, _: usize) -> SectorOp {
+        SectorOp::READ_ALL
+    }
+
+    fn staged(
+        &mut self,
+        i: usize,
+        serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
+        let result = serve(&mut self.buf);
+        if result.is_ok() {
+            (self.visit)(i, SectorView::of_buf(&self.buf));
+        }
+        result
+    }
+
+    // Reading every part checks nothing: the transfer is the lend.
+    fn in_place(&mut self, _: usize, _: DiskAddress, _: &mut Sector) -> Result<(), DiskError> {
+        Ok(())
+    }
+
+    fn lend(&mut self, i: usize, view: SectorView<'_>) {
+        (self.visit)(i, view);
+    }
+}
+
+/// [`Disk::do_batch_write`]: `WRITE` from borrowed sources. In place, the
+/// header and label patterns are matched against the platter words and the
+/// borrowed data lands only when both pass. A passed check's captured label
+/// is bit-identical to the sector's own (every non-wildcard word matched,
+/// every wildcard captured the disk word), so the lent post-write sector
+/// shows exactly what a staged buffer would.
+struct Borrowed<'d, S, V> {
+    source: S,
+    lend: Lend<'d, V>,
+}
+
+impl<'a, S, V> Meet for Borrowed<'_, S, V>
+where
+    S: FnMut(usize) -> WriteSource<'a>,
+    V: FnMut(usize, SectorView<'_>),
+{
+    fn da(&self, i: usize) -> DiskAddress {
+        self.lend.da(i)
+    }
+
+    fn op(&self, _: usize) -> SectorOp {
+        SectorOp::WRITE
+    }
+
+    fn staged(
+        &mut self,
+        i: usize,
+        serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
+    ) -> Result<(), DiskError> {
+        let ws = (self.source)(i);
+        let buf = &mut self.lend.buf;
+        buf.header = ws.header;
+        buf.label = ws.label;
+        buf.data = *ws.data;
+        self.lend.staged(i, serve)
+    }
+
+    fn in_place(
+        &mut self,
+        i: usize,
+        da: DiskAddress,
+        sector: &mut Sector,
+    ) -> Result<(), DiskError> {
+        let ws = (self.source)(i);
+        let (mut header, mut label) = (ws.header, ws.label);
+        check_part(&sector.header, &mut header, da, SectorPart::Header)
+            .and_then(|()| check_part(&sector.label, &mut label, da, SectorPart::Label))
+            .map_err(DiskError::Check)?;
+        sector.data = *ws.data;
+        Ok(())
+    }
+
+    fn lend(&mut self, i: usize, view: SectorView<'_>) {
+        self.lend.lend(i, view);
+    }
+}
+
+/// The drive state one chain pass works on, split out of [`DiskDrive`] so
+/// serving a sector touches no shared cell: the pack and arm, the trace,
+/// simulated time in a local, and counters in a local accumulator.
+struct Head<'d> {
+    loaded: &'d mut Loaded,
+    trace: &'d Trace,
+    injector: &'d mut FaultInjector,
+    audit: Option<&'d Auditor>,
+    /// Every request stages through a buffer and [`apply`]: the auditor
+    /// mirrors a buffered op, and an armed fault transforms one.
+    staged: bool,
+    /// Write ops already flushed into the drive's stats; the auditor's
+    /// epoch adds the accumulator's.
+    epoch: u64,
+    now: SimTime,
+    acc: &'d mut DriveStats,
+}
+
+impl Head<'_> {
+    /// The per-sector step: seek, rotational wait and one sector transfer
+    /// on the local timeline, then the operation with full check semantics.
+    /// `planned` is the wait the batch planner derived on this same
+    /// timeline (checked in debug builds); `None` derives it here. Returns
+    /// whether the arm moved, and the result.
+    fn step<M: Meet + ?Sized>(
+        &mut self,
+        meet: &mut M,
+        i: usize,
+        chs: Chs,
+        planned: Option<SimTime>,
+    ) -> (bool, Result<(), DiskError>) {
+        let timing = self.loaded.timing;
+        let seeked = chs.cylinder != self.loaded.cylinder;
+        if seeked {
+            let from = self.loaded.cylinder;
+            let t = timing.seek(chs.cylinder.abs_diff(from));
+            self.now += t;
+            self.acc.seeks += 1;
+            self.acc.seek_time += t;
+            self.trace.record_with(self.now, "disk.seek", || {
+                format!("cyl {from} -> {} ({t})", chs.cylinder)
+            });
+            self.loaded.cylinder = chs.cylinder;
+        }
+        let wait = match planned {
+            Some(w) => {
+                debug_assert_eq!(
+                    w,
+                    timing.rotational_wait(self.now, chs.sector),
+                    "planned wait diverged from the drive's timeline"
+                );
+                w
+            }
+            None => timing.rotational_wait(self.now, chs.sector),
+        };
+        self.now += wait;
+        self.acc.rotational_wait += wait;
+        // The transfer itself: one sector time regardless of actions.
+        self.now += timing.sector_time;
+        self.acc.transfer_time += timing.sector_time;
+        let (da, op) = (meet.da(i), meet.op(i));
+        self.acc.ops += 1;
+        self.acc.write_ops += u64::from(op.writes());
+        self.acc.label_writes += u64::from(op.label == Action::Write);
+        self.acc.sectors_read += u64::from(op.value == Action::Read);
+        self.acc.sectors_written += u64::from(op.value == Action::Write);
+
+        // Unrecoverable media damage surfaces when the value part is read.
+        let damaged =
+            matches!(op.value, Action::Read | Action::Check) && self.loaded.pack.is_damaged(da);
+        let result = if damaged || self.staged {
+            meet.staged(i, |buf| self.buffered(da, op, damaged, buf))
+        } else {
+            let sector = self
+                .loaded
+                .pack
+                .sector_mut(da)
+                .expect("address validated against geometry");
+            let result = meet.in_place(i, da, sector);
+            note(self.acc, self.trace, self.now, da, op, &result);
+            if result.is_ok() {
+                meet.lend(i, SectorView::new(sector));
+            }
+            result
+        };
+        (seeked, result)
+    }
+
+    /// The operation on a memory buffer: what the auditor mirrors and an
+    /// armed fault transforms. On damaged media the header and label
+    /// actions still complete (they precede the value on the platter), so
+    /// the Scavenger can learn *which* page was lost before quarantining
+    /// the sector; the value part then fails.
+    fn buffered(
+        &mut self,
+        da: DiskAddress,
+        op: SectorOp,
+        damaged: bool,
+        buf: &mut SectorBuf,
+    ) -> Result<(), DiskError> {
+        let now = self.now;
+        let sector = self
+            .loaded
+            .pack
+            .sector_mut(da)
+            .expect("address validated against geometry");
+        let before = self.audit.map(|_| (sector.clone(), buf.clone()));
+        let (result, provenance) = if damaged {
+            let stripped = SectorOp {
+                value: Action::Read,
+                ..op
+            };
+            let mut scratch = buf.clone();
+            let result = match apply(stripped, da, sector, &mut scratch) {
+                Err(e) => {
+                    if matches!(e, DiskError::Check(_)) {
+                        self.acc.failed_checks += 1;
+                    }
+                    Err(e)
+                }
+                Ok(()) => {
+                    buf.header = scratch.header;
+                    buf.label = scratch.label;
+                    self.trace.record_with(now, "disk.hard_error", || {
+                        format!("{da} value part unreadable")
+                    });
+                    Err(DiskError::HardError {
+                        da,
+                        part: SectorPart::Value,
+                    })
+                }
+            };
+            (result, Provenance::Damaged)
+        } else {
+            match self.injector.apply(da, op, sector, buf) {
+                Some(r) => (r, Provenance::Injected),
+                None => (apply(op, da, sector, buf), Provenance::Clean),
+            }
+        };
+        if let (Some(aud), Some((sector_before, buf_before))) = (self.audit, before) {
+            aud.observe(
+                &Observed {
+                    da,
+                    op,
+                    sector_before: &sector_before,
+                    buf_before: &buf_before,
+                    sector_after: sector,
+                    buf_after: buf,
+                    result: &result,
+                    provenance,
+                    epoch: self.epoch + self.acc.write_ops,
+                },
+                self.trace,
+                now,
+            );
+        }
+        if !damaged {
+            note(self.acc, self.trace, now, da, op, &result);
+        }
+        result
+    }
+
+    /// Ends a chained run: counts the `followers` transfers that chained
+    /// onto the run's head and emits `disk.chain` if there were any.
+    fn close_run(&mut self, followers: u64) {
+        self.acc.chained_transfers += followers;
+        if followers >= 1 {
+            self.trace.record_with(self.now, "disk.chain", || {
+                format!("{}-sector chained transfer", followers + 1)
+            });
+        }
+    }
+}
+
+/// Counts and traces one operation's outcome.
+fn note(
+    acc: &mut DriveStats,
+    trace: &Trace,
+    now: SimTime,
+    da: DiskAddress,
+    op: SectorOp,
+    result: &Result<(), DiskError>,
+) {
+    match result {
+        Ok(()) => trace.record_with(now, "disk.op", || format!("{op:?} at {da}")),
+        Err(DiskError::Check(c)) => {
+            acc.failed_checks += 1;
+            trace.record_with(now, "disk.check_fail", || c.to_string());
+        }
+        Err(e @ DiskError::Transient { .. }) => {
+            acc.soft_errors += 1;
+            trace.record_with(now, "disk.retry.soft_error", || e.to_string());
+        }
+        Err(e) => trace.record_with(now, "disk.error", || e.to_string()),
+    }
 }
 
 impl DiskDrive {
@@ -415,22 +766,6 @@ impl DiskDrive {
             audit: Auditor::from_env(),
             scratch: BatchScratch::default(),
         }
-    }
-
-    /// Hands this drive a different clock, returning the old one. The
-    /// dual-drive adapter uses this to run a unit's share of a spanning
-    /// batch against a private timeline on a worker thread; ordinary code
-    /// has no business swapping clocks (the clock-discipline lint watches
-    /// the call sites that mutate time).
-    pub(crate) fn swap_clock(&mut self, clock: SimClock) -> SimClock {
-        std::mem::replace(&mut self.clock, clock)
-    }
-
-    /// Hands this drive a different trace, returning the old one — the
-    /// companion of [`DiskDrive::swap_clock`] for deterministic event
-    /// merging after threaded execution.
-    pub(crate) fn swap_trace(&mut self, trace: Trace) -> Trace {
-        std::mem::replace(&mut self.trace, trace)
     }
 
     /// Attaches a fresh non-strict §3.3 auditor (replacing any existing one,
@@ -547,293 +882,77 @@ impl DiskDrive {
         self.stats.command_time += overhead;
     }
 
-    /// Emits the `disk.chain` trace for a finished chained run, if any.
-    /// `followers` counts the transfers that chained onto the run's head.
-    fn flush_chain(&mut self, followers: u64) {
-        if followers >= 1 {
-            self.trace.record_with(self.clock.now(), "disk.chain", || {
-                format!("{}-sector chained transfer", followers + 1)
-            });
+    /// Splits the drive into a [`Head`] starting at the shared clock's time.
+    fn head<'d>(&'d mut self, acc: &'d mut DriveStats) -> Head<'d> {
+        Head {
+            loaded: self.pack.as_mut().expect("prechecked: pack is loaded"),
+            trace: &self.trace,
+            staged: self.audit.is_some() || !self.injector.is_idle(),
+            injector: &mut self.injector,
+            audit: self.audit.as_ref(),
+            epoch: self.stats.write_ops,
+            now: self.clock.now(),
+            acc,
         }
     }
 
-    /// Services one already-prechecked operation: seek, rotational wait,
-    /// transfer, check semantics. Does *not* charge command set-up.
+    /// The chained command (§4) behind every batch form: precheck, one
+    /// command set-up, a plan, service in plan order, `disk.io.batch`.
     ///
-    /// `chs` is `da`'s geometry decomposition, computed by the caller —
-    /// [`Disk::do_batch`] already has it from planning, so recomputing it
-    /// per serviced sector (three divisions) would be pure overhead. The
-    /// caller has prechecked `da` and `op` ([`DiskDrive::precheck`]).
-    fn service(
-        &mut self,
-        da: DiskAddress,
-        chs: Chs,
-        op: SectorOp,
-        planned_wait: Option<SimTime>,
-        buf: &mut SectorBuf,
-    ) -> Result<(), DiskError> {
-        let loaded = self.pack.as_mut().ok_or(DiskError::NoPack)?;
-
-        // Simulated time is carried in a local and stored back once: the
-        // clock is shared (an atomic), and nothing else observes it between
-        // the start and end of one serviced operation, so three read-modify-
-        // write advances collapse into one load and one store.
-        let mut now = self.clock.now();
-
-        // Seek.
-        if chs.cylinder != loaded.cylinder {
-            let distance = chs.cylinder.abs_diff(loaded.cylinder);
-            let t = loaded.timing.seek(distance);
-            now += t;
-            self.stats.seeks += 1;
-            self.stats.seek_time += t;
-            let from = loaded.cylinder;
-            self.trace.record_with(now, "disk.seek", || {
-                format!("cyl {} -> {} ({t})", from, chs.cylinder)
-            });
-            loaded.cylinder = chs.cylinder;
-        }
-
-        // Rotational latency: the batch planner already derived the wait on
-        // the identical timeline, so a planned operation reuses it (checked
-        // in debug builds) instead of re-deriving it per sector.
-        let wait = match planned_wait {
-            Some(w) => {
-                debug_assert_eq!(
-                    w,
-                    loaded.timing.rotational_wait(now, chs.sector),
-                    "planned wait diverged from the drive's timeline"
-                );
-                w
-            }
-            None => loaded.timing.rotational_wait(now, chs.sector),
-        };
-        now += wait;
-        self.stats.rotational_wait += wait;
-
-        // The transfer itself: one sector time regardless of actions.
-        now += loaded.timing.sector_time;
-        self.clock.set(now);
-        self.stats.transfer_time += loaded.timing.sector_time;
-        self.stats.ops += 1;
-        if op.writes() {
-            self.stats.write_ops += 1;
-        }
-        if op.label == Action::Write {
-            self.stats.label_writes += 1;
-        }
-        if op.value == Action::Read {
-            self.stats.sectors_read += 1;
-        }
-        if op.value == Action::Write {
-            self.stats.sectors_written += 1;
-        }
-
-        // Unrecoverable media damage surfaces when the value part is read.
-        // The header and label actions still complete (they precede the
-        // value on the platter), so the Scavenger can learn *which* page
-        // was lost before quarantining the sector.
-        if loaded.pack.is_damaged(da) && matches!(op.value, Action::Read | Action::Check) {
-            let stripped = SectorOp {
-                header: op.header,
-                label: op.label,
-                value: Action::Read,
-            };
-            let sector = loaded
-                .pack
-                .sector_mut(da)
-                .expect("address validated against geometry");
-            let audit_pre = self.audit.is_some().then(|| (sector.clone(), buf.clone()));
-            let mut scratch = buf.clone();
-            let result = match apply(stripped, da, sector, &mut scratch) {
-                Err(e) => {
-                    if matches!(e, DiskError::Check(_)) {
-                        self.stats.failed_checks += 1;
-                    }
-                    Err(e)
-                }
-                Ok(()) => {
-                    buf.header = scratch.header;
-                    buf.label = scratch.label;
-                    self.trace.record(
-                        now,
-                        "disk.hard_error",
-                        format!("{da} value part unreadable"),
-                    );
-                    Err(DiskError::HardError {
-                        da,
-                        part: SectorPart::Value,
-                    })
-                }
-            };
-            if let Some((sector_before, buf_before)) = audit_pre {
-                let aud = self.audit.clone().expect("pre-state implies auditor");
-                aud.observe(
-                    &Observed {
-                        da,
-                        op,
-                        sector_before: &sector_before,
-                        buf_before: &buf_before,
-                        sector_after: sector,
-                        buf_after: buf,
-                        result: &result,
-                        provenance: Provenance::Damaged,
-                        epoch: self.stats.write_ops,
-                    },
-                    &self.trace,
-                    now,
-                );
-            }
-            return result;
-        }
-
-        // Fault injection may transform the effective operation (torn or
-        // dropped writes) before it reaches the medium.
-        let sector = loaded
-            .pack
-            .sector_mut(da)
-            .expect("address validated against geometry");
-        let audit_pre = self.audit.is_some().then(|| (sector.clone(), buf.clone()));
-        let (result, injected) = match self.injector.apply(da, op, sector, buf) {
-            Some(r) => (r, true),
-            None => (apply(op, da, sector, buf), false),
-        };
-        if let Some((sector_before, buf_before)) = audit_pre {
-            let aud = self.audit.clone().expect("pre-state implies auditor");
-            aud.observe(
-                &Observed {
-                    da,
-                    op,
-                    sector_before: &sector_before,
-                    buf_before: &buf_before,
-                    sector_after: sector,
-                    buf_after: buf,
-                    result: &result,
-                    provenance: if injected {
-                        Provenance::Injected
-                    } else {
-                        Provenance::Clean
-                    },
-                    epoch: self.stats.write_ops,
-                },
-                &self.trace,
-                now,
-            );
-        }
-
-        match &result {
-            Ok(()) => {
-                self.trace
-                    .record_with(now, "disk.op", || format!("{op:?} at {da}"));
-            }
-            Err(DiskError::Check(c)) => {
-                self.stats.failed_checks += 1;
-                self.trace
-                    .record_with(now, "disk.check_fail", || c.to_string());
-            }
-            Err(e @ DiskError::Transient { .. }) => {
-                self.stats.soft_errors += 1;
-                self.trace
-                    .record_with(now, "disk.retry.soft_error", || e.to_string());
-            }
-            Err(e) => {
-                self.trace.record_with(now, "disk.error", || e.to_string());
-            }
-        }
-        result
-    }
-
-    /// Chained batch read with zero-copy delivery: services every address
-    /// in `das` exactly like [`Disk::do_batch`] given [`SectorOp::READ_ALL`]
-    /// requests — same §4 command chaining and planning, same simulated
-    /// timing, same stats and trace — but lends each serviced sector to
-    /// `visit` as a borrowed [`SectorView`] instead of copying its 532
-    /// bytes into a caller-owned buffer. `visit` runs at most once per
-    /// request (never for a failed one), in service order, with the
-    /// request's index in `das`.
+    /// The schedule is computable up front only while the chain runs clean:
+    /// every serviced request costs seek + wait + one sector regardless of
+    /// its check outcome, but a *failure* halts command chaining at the
+    /// failing sector (the controller stops; software must restart). The
+    /// failing request keeps its slot; the unserved remainder is replanned
+    /// from the arm's new position under a fresh command set-up.
     ///
-    /// The simulated controller still transfers the sector — one sector
-    /// time, full rotational accounting — only the host-side representation
-    /// changes. When the §3.3 auditor is attached or any fault is armed,
-    /// each sector goes through the buffered `DiskDrive::service` path
-    /// into private scratch instead (`visit` sees a view of that scratch),
-    /// so audit observations and fault semantics stay identical to
-    /// `do_batch`'s.
-    pub fn do_batch_read<F>(
-        &mut self,
-        das: &[DiskAddress],
-        mut visit: F,
-    ) -> Vec<Result<(), DiskError>>
-    where
-        F: FnMut(usize, SectorView<'_>),
-    {
-        let op = SectorOp::READ_ALL;
+    /// Each pass keeps time in the [`Head`] and stores it to the shared
+    /// clock once at its end, so whatever a visitor does to the shared
+    /// clock mid-pass is overwritten — identically with the auditor armed
+    /// or not.
+    fn chain<M: Meet + ?Sized>(&mut self, n: usize, meet: &mut M) -> Vec<Result<(), DiskError>> {
+        // The result vector and all planning storage come out of per-thread
+        // free lists / the drive's own scratch, so a steady-state batch
+        // costs no heap allocation (see `crate::pool`).
         let mut results = pool::results_vec();
-        results.extend(das.iter().map(|_| Ok(())));
+        results.extend((0..n).map(|_| Ok(())));
         let mut scratch = std::mem::take(&mut self.scratch);
+        // Malformed requests are rejected up front and never scheduled.
         scratch.pending.clear();
-        // Batch form of `precheck`: the op is a constant (`READ_ALL` always
-        // validates) and the pack lookup is loop-invariant, so per address
-        // only the range check remains.
-        debug_assert!(op.validate().is_ok());
-        match self.pack.as_ref() {
-            None => {
-                results.fill(Err(DiskError::NoPack));
-            }
-            Some(loaded) => {
-                let count = loaded.pack.geometry().sector_count();
-                for (i, &da) in das.iter().enumerate() {
-                    if !da.is_nil() && (da.0 as u32) < count {
-                        scratch.pending.push(i);
-                    } else {
-                        results[i] = Err(DiskError::InvalidAddress(da));
-                    }
-                }
+        for (i, slot) in results.iter_mut().enumerate() {
+            match self.precheck(meet.da(i), meet.op(i)) {
+                Ok(()) => scratch.pending.push(i),
+                Err(e) => *slot = Err(e),
             }
         }
         if scratch.pending.is_empty() {
             self.scratch = scratch;
             return results;
         }
-        let buffered = self.audit.is_some() || !self.injector.is_idle();
         let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
-        let geometry = loaded.pack.geometry();
-        let timing = loaded.timing;
+        let (geometry, timing) = (loaded.pack.geometry(), loaded.timing);
 
-        // One command set-up covers the whole chain (§4), and the
-        // halt-and-replan semantics on failure mirror `do_batch`: a hard
-        // error consumes its slot, stops the chain, and the unserved
-        // remainder reschedules from the arm's new position.
         self.charge_command();
+        let pending = scratch.pending.len();
         self.stats.batches += 1;
-        self.stats.batched_ops += scratch.pending.len() as u64;
-        let pending_len = scratch.pending.len();
+        self.stats.batched_ops += pending as u64;
         self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending_len} requests")
+            format!("{pending} requests")
         });
-        let reads_before = self.stats.sectors_read;
+        let mut acc = DriveStats::default();
         scratch.remaining.clear();
         scratch.remaining.extend_from_slice(&scratch.pending);
-        let mut scratch_buf = SectorBuf::zeroed();
-        let mut acc = ViewChainStats::default();
-        let mut chained_total = 0u64;
-        let mut first_chain = true;
+        let mut first_pass = true;
         while !scratch.remaining.is_empty() {
-            if !first_chain {
+            if !first_pass {
                 self.charge_command();
             }
-            first_chain = false;
-            if scratch.remaining.len() == das.len() {
-                // Every request survived prechecks and none have been
-                // serviced yet: `remaining` is the identity, skip the gather.
-                geometry.to_chs_batch(das, &mut scratch.chs);
-            } else {
-                scratch.das.clear();
-                scratch
-                    .das
-                    .extend(scratch.remaining.iter().map(|&i| das[i]));
-                geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
-            }
+            first_pass = false;
+            scratch.das.clear();
+            scratch
+                .das
+                .extend(scratch.remaining.iter().map(|&i| meet.da(i)));
+            geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
             sched::plan_into(
                 timing,
                 self.current_cylinder(),
@@ -843,129 +962,30 @@ impl DiskDrive {
                 &mut scratch.order,
                 &mut scratch.waits,
             );
+            let mut head = self.head(&mut acc);
             let mut followers = 0u64;
             let mut halted_at = None;
-            if buffered {
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let seeks_before = self.stats.seeks;
-                    let wait_before = self.stats.rotational_wait;
-                    let r = self.service(da, scratch.chs[j], op, Some(wait), &mut scratch_buf);
-                    let chained = k > 0
-                        && self.stats.seeks == seeks_before
-                        && self.stats.rotational_wait == wait_before;
-                    if r.is_ok() {
-                        visit(i, SectorView::of_buf(&scratch_buf));
-                    }
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if chained {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        self.flush_chain(followers);
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
+            for (k, (&j, &wait)) in scratch.order.iter().zip(&scratch.waits).enumerate() {
+                let i = scratch.remaining[j];
+                let (seeked, result) = head.step(meet, i, scratch.chs[j], Some(wait));
+                let failed = result.is_err();
+                results[i] = result;
+                if k > 0 && !seeked && wait == SimTime::ZERO {
+                    followers += 1;
+                } else {
+                    head.close_run(followers);
+                    followers = 0;
                 }
-                self.flush_chain(followers);
-            } else {
-                // The zero-copy arm: `service`'s timeline, stats and trace
-                // events exactly (the parity tests pin all three), with the
-                // per-sector state split out of `self` once per chain — the
-                // pack and arm position, the trace handle, and the clock in
-                // a local — so servicing a sector touches no shared cells
-                // and lends the platter sector to `visit` in place of the
-                // 532-word copy out.
-                let loaded = self.pack.as_mut().expect("prechecked: pack is loaded");
-                let trace = &self.trace;
-                let sector_time = loaded.timing.sector_time;
-                let mut now = self.clock.now();
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let chs = scratch.chs[j];
-                    let mut seeked = false;
-                    if chs.cylinder != loaded.cylinder {
-                        seeked = true;
-                        let distance = chs.cylinder.abs_diff(loaded.cylinder);
-                        let t = loaded.timing.seek(distance);
-                        now += t;
-                        acc.seeks += 1;
-                        acc.seek_time += t;
-                        let from = loaded.cylinder;
-                        trace.record_with(now, "disk.seek", || {
-                            format!("cyl {} -> {} ({t})", from, chs.cylinder)
-                        });
-                        loaded.cylinder = chs.cylinder;
-                    }
-                    debug_assert_eq!(
-                        wait,
-                        loaded.timing.rotational_wait(now, chs.sector),
-                        "planned wait diverged from the drive's timeline"
-                    );
-                    now += wait;
-                    acc.rotational_wait += wait;
-                    now += sector_time;
-                    acc.transfer_time += sector_time;
-                    acc.ops += 1;
-                    acc.sectors_read += 1;
-                    let r = if loaded.pack.is_damaged(da) {
-                        // READ_ALL against damaged media: header and label
-                        // actions complete, the value part is unreadable —
-                        // the same surface `service` reports.
-                        trace.record(
-                            now,
-                            "disk.hard_error",
-                            format!("{da} value part unreadable"),
-                        );
-                        Err(DiskError::HardError {
-                            da,
-                            part: SectorPart::Value,
-                        })
-                    } else {
-                        let sector = loaded
-                            .pack
-                            .sector(da)
-                            .expect("address validated against geometry");
-                        trace.record_with(now, "disk.op", || {
-                            format!("{:?} at {da}", SectorOp::READ_ALL)
-                        });
-                        visit(i, SectorView::new(sector));
-                        Ok(())
-                    };
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if k > 0 && !seeked && wait == SimTime::ZERO {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        if followers >= 1 {
-                            let f = followers;
-                            trace.record_with(now, "disk.chain", || {
-                                format!("{}-sector chained transfer", f + 1)
-                            });
-                        }
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
+                if failed {
+                    halted_at = Some(k);
+                    break;
                 }
-                if followers >= 1 {
-                    let f = followers;
-                    trace.record_with(now, "disk.chain", || {
-                        format!("{}-sector chained transfer", f + 1)
-                    });
-                }
-                self.clock.set(now);
             }
+            head.close_run(followers);
+            let now = head.now;
+            self.clock.set(now);
             match halted_at {
+                // Requests the halted chain never reached go around again.
                 Some(k) => {
                     scratch.next_remaining.clear();
                     scratch
@@ -976,15 +996,11 @@ impl DiskDrive {
                 None => scratch.remaining.clear(),
             }
         }
-        acc.flush_into(&mut self.stats);
-        self.stats.chained_transfers += chained_total;
+        let (read, written) = (acc.sectors_read, acc.sectors_written);
+        self.stats = self.stats.merged(&acc);
         self.trace
             .record_with(self.clock.now(), "disk.io.batch", || {
-                format!(
-                    "{} serviced ({} read, 0 written)",
-                    pending_len,
-                    self.stats.sectors_read - reads_before,
-                )
+                format!("{pending} serviced ({read} read, {written} written)")
             });
         self.scratch = scratch;
         results
@@ -994,15 +1010,6 @@ impl DiskDrive {
 impl Disk for DiskDrive {
     fn geometry(&self) -> Result<DiskGeometry, DiskError> {
         Ok(self.pack.as_ref().ok_or(DiskError::NoPack)?.pack.geometry())
-    }
-
-    // The genuinely zero-copy chain (the inherent method predates the trait
-    // hook; generic callers now reach it through the trait).
-    fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
-    where
-        F: FnMut(usize, SectorView<'_>),
-    {
-        DiskDrive::do_batch_read(self, das, visit)
     }
 
     // Counted when the write is *attempted* (before the check), so even an
@@ -1020,6 +1027,7 @@ impl Disk for DiskDrive {
             .pack_number())
     }
 
+    // The per-sector step under one command set-up, with no plan.
     fn do_op(
         &mut self,
         da: DiskAddress,
@@ -1035,379 +1043,59 @@ impl Disk for DiskDrive {
             .geometry()
             .to_chs(da);
         self.charge_command();
-        self.service(da, chs, op, None, buf)
+        let mut acc = DriveStats::default();
+        let mut head = self.head(&mut acc);
+        let (_, result) = head.step(&mut One { da, op, buf }, 0, chs, None);
+        let now = head.now;
+        self.clock.set(now);
+        self.stats = self.stats.merged(&acc);
+        result
     }
 
     fn do_batch(&mut self, batch: &mut [BatchRequest]) -> Vec<Result<(), DiskError>> {
-        // The result vector and all planning storage come out of per-thread
-        // free lists / the drive's own scratch, so a steady-state batch
-        // costs no heap allocation (see `crate::pool`).
-        let mut results = pool::results_vec();
-        results.extend(batch.iter().map(|_| Ok(())));
-        let mut scratch = std::mem::take(&mut self.scratch);
-        // Malformed requests are rejected up front and never scheduled.
-        scratch.pending.clear();
-        for (i, req) in batch.iter().enumerate() {
-            match self.precheck(req.da, req.op) {
-                Ok(()) => scratch.pending.push(i),
-                Err(e) => results[i] = Err(e),
-            }
-        }
-        if scratch.pending.is_empty() {
-            self.scratch = scratch;
-            return results;
-        }
-        let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
-        let geometry = loaded.pack.geometry();
-        let timing = loaded.timing;
-
-        // One command set-up covers the whole chain (§4).
-        self.charge_command();
-        self.stats.batches += 1;
-        self.stats.batched_ops += scratch.pending.len() as u64;
-        let pending_len = scratch.pending.len();
-        self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending_len} requests")
-        });
-
-        // The schedule is computable up front only while the chain runs
-        // clean: every serviced request costs seek + wait + one sector
-        // regardless of its check outcome, but a *failure* halts command
-        // chaining at the failing sector (the controller stops; software
-        // must restart). The failing request keeps its slot; the unserved
-        // remainder is rescheduled from the arm's new position under a
-        // fresh command set-up.
-        let reads_before = self.stats.sectors_read;
-        let writes_before = self.stats.sectors_written;
-        scratch.remaining.clear();
-        scratch.remaining.extend_from_slice(&scratch.pending);
-        let mut first_chain = true;
-        while !scratch.remaining.is_empty() {
-            if !first_chain {
-                self.charge_command();
-            }
-            first_chain = false;
-            scratch.das.clear();
-            scratch
-                .das
-                .extend(scratch.remaining.iter().map(|&i| batch[i].da));
-            geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
-            sched::plan_into(
-                timing,
-                self.current_cylinder(),
-                self.clock.now(),
-                &scratch.chs,
-                &mut scratch.plan,
-                &mut scratch.order,
-                &mut scratch.waits,
-            );
-            let mut followers = 0u64;
-            let mut halted_at = None;
-            for (k, &j) in scratch.order.iter().enumerate() {
-                let i = scratch.remaining[j];
-                let seeks_before = self.stats.seeks;
-                let wait_before = self.stats.rotational_wait;
-                let req = &mut batch[i];
-                let (da, op) = (req.da, req.op);
-                results[i] =
-                    self.service(da, scratch.chs[j], op, Some(scratch.waits[k]), &mut req.buf);
-                let chained = k > 0
-                    && self.stats.seeks == seeks_before
-                    && self.stats.rotational_wait == wait_before;
-                if chained {
-                    followers += 1;
-                    self.stats.chained_transfers += 1;
-                } else {
-                    self.flush_chain(followers);
-                    followers = 0;
-                }
-                if results[i].is_err() {
-                    halted_at = Some(k);
-                    break;
-                }
-            }
-            self.flush_chain(followers);
-            match halted_at {
-                // Requests the halted chain never reached go around again.
-                Some(k) => {
-                    scratch.next_remaining.clear();
-                    scratch
-                        .next_remaining
-                        .extend(scratch.order[k + 1..].iter().map(|&j| scratch.remaining[j]));
-                    std::mem::swap(&mut scratch.remaining, &mut scratch.next_remaining);
-                }
-                None => scratch.remaining.clear(),
-            }
-        }
-        self.trace
-            .record_with(self.clock.now(), "disk.io.batch", || {
-                format!(
-                    "{} serviced ({} read, {} written)",
-                    pending_len,
-                    self.stats.sectors_read - reads_before,
-                    self.stats.sectors_written - writes_before,
-                )
-            });
-        self.scratch = scratch;
-        results
+        self.chain(batch.len(), batch)
     }
 
-    /// Chained batch write with borrowed buffers: services every address
-    /// exactly like [`Disk::do_batch`] given [`SectorOp::WRITE`] requests —
-    /// same §4 command chaining and planning, same simulated timing, same
-    /// stats and traces (the parity tests pin all of them) — but the data
-    /// words come straight from `source`'s borrow and the check patterns
-    /// are matched against the platter sector *in place*, so nothing is
-    /// staged through a 265-word buffer. A passed check's captured label is
-    /// bit-identical to the sector's own label (every non-wildcard word
-    /// matched, every wildcard captured the disk word), so lending the
-    /// post-write sector to `visit` shows exactly what the buffered form
-    /// copies out.
-    ///
-    /// When the §3.3 auditor is attached or any fault is armed, each sector
-    /// goes through the buffered `DiskDrive::service` path into private
-    /// scratch instead, so audit observations and fault semantics stay
-    /// identical to `do_batch`'s.
+    /// The chain with each `READ_ALL` sector lent in place: one sector time
+    /// and full rotational accounting per request, no 532-byte copy out.
+    /// Visits run in service order. With the auditor or a fault armed,
+    /// each sector is staged through a buffer instead and the view shows
+    /// that buffer.
+    fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
+    where
+        F: FnMut(usize, SectorView<'_>),
+    {
+        let mut lend = Lend {
+            das,
+            visit,
+            buf: SectorBuf::zeroed(),
+        };
+        self.chain(das.len(), &mut lend)
+    }
+
+    /// The chain with each `WRITE` checked in place against the platter and
+    /// its data words taken straight from `source`'s borrow. With the
+    /// auditor or a fault armed, each request is staged through a buffer
+    /// instead and the view shows that buffer.
     fn do_batch_write<'a, S, V>(
         &mut self,
         das: &[DiskAddress],
-        mut source: S,
-        mut visit: V,
+        source: S,
+        visit: V,
     ) -> Vec<Result<(), DiskError>>
     where
         S: FnMut(usize) -> WriteSource<'a>,
         V: FnMut(usize, SectorView<'_>),
     {
-        let op = SectorOp::WRITE;
-        let mut results = pool::results_vec();
-        results.extend(das.iter().map(|_| Ok(())));
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.pending.clear();
-        // Batch form of `precheck`: the op is a constant (`WRITE` always
-        // validates) and the pack lookup is loop-invariant, so per address
-        // only the range check remains.
-        debug_assert!(op.validate().is_ok());
-        match self.pack.as_ref() {
-            None => {
-                results.fill(Err(DiskError::NoPack));
-            }
-            Some(loaded) => {
-                let count = loaded.pack.geometry().sector_count();
-                for (i, &da) in das.iter().enumerate() {
-                    if !da.is_nil() && (da.0 as u32) < count {
-                        scratch.pending.push(i);
-                    } else {
-                        results[i] = Err(DiskError::InvalidAddress(da));
-                    }
-                }
-            }
-        }
-        if scratch.pending.is_empty() {
-            self.scratch = scratch;
-            return results;
-        }
-        let buffered = self.audit.is_some() || !self.injector.is_idle();
-        let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
-        let geometry = loaded.pack.geometry();
-        let timing = loaded.timing;
-
-        // One command set-up covers the whole chain (§4), and the
-        // halt-and-replan semantics on failure mirror `do_batch`: a failed
-        // check consumes its slot, stops the chain, and the unserved
-        // remainder reschedules from the arm's new position.
-        self.charge_command();
-        self.stats.batches += 1;
-        self.stats.batched_ops += scratch.pending.len() as u64;
-        let pending_len = scratch.pending.len();
-        self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending_len} requests")
-        });
-        let writes_before = self.stats.sectors_written;
-        scratch.remaining.clear();
-        scratch.remaining.extend_from_slice(&scratch.pending);
-        let mut scratch_buf = SectorBuf::zeroed();
-        let mut acc = ViewChainStats::default();
-        let mut chained_total = 0u64;
-        let mut first_chain = true;
-        while !scratch.remaining.is_empty() {
-            if !first_chain {
-                self.charge_command();
-            }
-            first_chain = false;
-            if scratch.remaining.len() == das.len() {
-                // Every request survived prechecks and none have been
-                // serviced yet: `remaining` is the identity, skip the gather.
-                geometry.to_chs_batch(das, &mut scratch.chs);
-            } else {
-                scratch.das.clear();
-                scratch
-                    .das
-                    .extend(scratch.remaining.iter().map(|&i| das[i]));
-                geometry.to_chs_batch(&scratch.das, &mut scratch.chs);
-            }
-            sched::plan_into(
-                timing,
-                self.current_cylinder(),
-                self.clock.now(),
-                &scratch.chs,
-                &mut scratch.plan,
-                &mut scratch.order,
-                &mut scratch.waits,
-            );
-            let mut followers = 0u64;
-            let mut halted_at = None;
-            if buffered {
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let ws = source(i);
-                    scratch_buf.header = ws.header;
-                    scratch_buf.label = ws.label;
-                    scratch_buf.data = *ws.data;
-                    let seeks_before = self.stats.seeks;
-                    let wait_before = self.stats.rotational_wait;
-                    let r = self.service(da, scratch.chs[j], op, Some(wait), &mut scratch_buf);
-                    let chained = k > 0
-                        && self.stats.seeks == seeks_before
-                        && self.stats.rotational_wait == wait_before;
-                    if r.is_ok() {
-                        visit(i, SectorView::of_buf(&scratch_buf));
-                    }
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if chained {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        self.flush_chain(followers);
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
-                }
-                self.flush_chain(followers);
-            } else {
-                // The zero-copy arm: `service`'s timeline, stats and trace
-                // events exactly, with the per-sector state split out of
-                // `self` once per chain. The §3.3 discipline runs in place:
-                // header and label patterns are matched against the platter
-                // words (wildcards captured into locals), and only when both
-                // pass do the borrowed data words land on the sector. WRITE
-                // ignores media damage — the value part is never read — so
-                // the only possible failure here is a check mismatch, just
-                // as in `service`.
-                let loaded = self.pack.as_mut().expect("prechecked: pack is loaded");
-                let trace = &self.trace;
-                let sector_time = loaded.timing.sector_time;
-                let mut now = self.clock.now();
-                for (k, (&j, &wait)) in scratch.order.iter().zip(scratch.waits.iter()).enumerate() {
-                    let i = scratch.remaining[j];
-                    let da = das[i];
-                    let chs = scratch.chs[j];
-                    let mut seeked = false;
-                    if chs.cylinder != loaded.cylinder {
-                        seeked = true;
-                        let distance = chs.cylinder.abs_diff(loaded.cylinder);
-                        let t = loaded.timing.seek(distance);
-                        now += t;
-                        acc.seeks += 1;
-                        acc.seek_time += t;
-                        let from = loaded.cylinder;
-                        trace.record_with(now, "disk.seek", || {
-                            format!("cyl {} -> {} ({t})", from, chs.cylinder)
-                        });
-                        loaded.cylinder = chs.cylinder;
-                    }
-                    debug_assert_eq!(
-                        wait,
-                        loaded.timing.rotational_wait(now, chs.sector),
-                        "planned wait diverged from the drive's timeline"
-                    );
-                    now += wait;
-                    acc.rotational_wait += wait;
-                    now += sector_time;
-                    acc.transfer_time += sector_time;
-                    acc.ops += 1;
-                    acc.write_ops += 1;
-                    acc.sectors_written += 1;
-                    let sector = loaded
-                        .pack
-                        .sector_mut(da)
-                        .expect("address validated against geometry");
-                    let ws = source(i);
-                    let mut header = ws.header;
-                    let mut label = ws.label;
-                    let checked = check_part(&sector.header, &mut header, da, SectorPart::Header)
-                        .and_then(|()| {
-                            check_part(&sector.label, &mut label, da, SectorPart::Label)
-                        });
-                    let r = match checked {
-                        Ok(()) => {
-                            sector.data = *ws.data;
-                            trace.record_with(now, "disk.op", || {
-                                format!("{:?} at {da}", SectorOp::WRITE)
-                            });
-                            visit(i, SectorView::new(sector));
-                            Ok(())
-                        }
-                        Err(c) => {
-                            acc.failed_checks += 1;
-                            trace.record_with(now, "disk.check_fail", || c.to_string());
-                            Err(DiskError::Check(c))
-                        }
-                    };
-                    let failed = r.is_err();
-                    results[i] = r;
-                    if k > 0 && !seeked && wait == SimTime::ZERO {
-                        followers += 1;
-                        chained_total += 1;
-                    } else {
-                        if followers >= 1 {
-                            let f = followers;
-                            trace.record_with(now, "disk.chain", || {
-                                format!("{}-sector chained transfer", f + 1)
-                            });
-                        }
-                        followers = 0;
-                    }
-                    if failed {
-                        halted_at = Some(k);
-                        break;
-                    }
-                }
-                if followers >= 1 {
-                    let f = followers;
-                    trace.record_with(now, "disk.chain", || {
-                        format!("{}-sector chained transfer", f + 1)
-                    });
-                }
-                self.clock.set(now);
-            }
-            match halted_at {
-                Some(k) => {
-                    scratch.next_remaining.clear();
-                    scratch
-                        .next_remaining
-                        .extend(scratch.order[k + 1..].iter().map(|&j| scratch.remaining[j]));
-                    std::mem::swap(&mut scratch.remaining, &mut scratch.next_remaining);
-                }
-                None => scratch.remaining.clear(),
-            }
-        }
-        acc.flush_into(&mut self.stats);
-        self.stats.chained_transfers += chained_total;
-        self.trace
-            .record_with(self.clock.now(), "disk.io.batch", || {
-                format!(
-                    "{} serviced (0 read, {} written)",
-                    pending_len,
-                    self.stats.sectors_written - writes_before,
-                )
-            });
-        self.scratch = scratch;
-        results
+        let mut borrowed = Borrowed {
+            source,
+            lend: Lend {
+                das,
+                visit,
+                buf: SectorBuf::zeroed(),
+            },
+        };
+        self.chain(das.len(), &mut borrowed)
     }
 
     fn io_stats(&self) -> DriveStats {
@@ -1912,8 +1600,8 @@ mod tests {
         }
     }
 
-    /// With the auditor attached the view read routes through the buffered
-    /// `service` path — timing and stats must still match `do_batch`, and
+    /// With the auditor attached the view read stages every request
+    /// through a buffer — timing and stats must still match `do_batch`, and
     /// the auditor must observe a §3.3-clean run.
     #[test]
     fn batch_read_views_under_audit_match_and_stay_clean() {
@@ -2035,8 +1723,8 @@ mod tests {
         }
     }
 
-    /// With the auditor attached the view write routes through the buffered
-    /// `service` path — timing and stats must still match `do_batch`, and
+    /// With the auditor attached the view write stages every request
+    /// through a buffer — timing and stats must still match `do_batch`, and
     /// the auditor must observe a §3.3-clean run.
     #[test]
     fn batch_write_views_under_audit_match_and_stay_clean() {
@@ -2085,9 +1773,9 @@ mod tests {
         assert!(auditor.violations().is_empty());
     }
 
-    /// An armed fault injector forces the buffered fallback: the injected
-    /// fault's semantics (here a silently dropped write) must land exactly
-    /// as they do on the `do_batch` path.
+    /// An armed fault injector stages every request through a buffer: the
+    /// injected fault's semantics (here a silently dropped write) must land
+    /// exactly as they do on the `do_batch` path.
     #[test]
     fn batch_write_views_with_armed_injector_match_buffered() {
         let das: Vec<DiskAddress> = (0..20).map(DiskAddress).collect();

@@ -8,7 +8,8 @@
 //! [`DriveArray`] with [`Placement::Range`]: addresses `0 .. n` map to
 //! drive 0, `n .. 2n` to drive 1, and batches that span the boundary run
 //! the two shares on overlapped simulated timelines (elapsed = max of the
-//! arms). See [`crate::array`] for the general machinery.
+//! arms), one after the other on the caller's thread. See [`crate::array`]
+//! for the general machinery.
 
 use alto_sim::{SimClock, SimTime, Trace};
 
@@ -85,19 +86,6 @@ impl DualDrive {
     /// runnable as an ablation like `UnscheduledDisk`.
     pub fn set_overlap_enabled(&mut self, enabled: bool) {
         self.array.set_overlap_enabled(enabled);
-    }
-
-    /// Enables or disables *host threads* for overlapped spanning batches
-    /// (enabled by default). See [`DriveArray::set_threading_enabled`]:
-    /// the simulated outcome is bit-identical either way; only wall-clock
-    /// differs.
-    pub fn set_threading_enabled(&mut self, enabled: bool) {
-        self.array.set_threading_enabled(enabled);
-    }
-
-    /// How many spanning batches actually ran on real threads.
-    pub fn threaded_batches(&self) -> u64 {
-        self.array.threaded_batches()
     }
 
     /// Sets the retry limit on both units (see [`DiskDrive::set_retries`]).
@@ -448,46 +436,6 @@ mod tests {
         let unit1 = elapsed(Some(1));
         assert!(unit1 < unit0, "the failing arm must be the shorter one");
         assert_eq!(both, unit0.max(unit1));
-    }
-
-    #[test]
-    fn threaded_spanning_batch_is_bit_identical_to_serial_replay() {
-        // The acceptance bar for host threading: same results, same
-        // simulated elapsed time, and the same trace events in the same
-        // order as the serial replay — bit for bit. Shares of 160 per unit
-        // clear the array's thread threshold so the threaded path really
-        // engages.
-        let run = |threads: bool| {
-            let mut d = dual();
-            d.set_threading_enabled(threads);
-            let mut batch: Vec<BatchRequest> = (0..320u16)
-                .map(|i| {
-                    let local = 100 + 53 * (i / 2) % 4000;
-                    let da = if i % 2 == 0 { local } else { 4872 + local };
-                    BatchRequest::new(DiskAddress(da), SectorOp::READ_ALL, SectorBuf::zeroed())
-                })
-                .collect();
-            let t0 = d.clock().now();
-            let results = d.do_batch(&mut batch);
-            assert_eq!(d.threaded_batches(), u64::from(threads));
-            let events: Vec<(SimTime, &str, String)> = d
-                .trace()
-                .events()
-                .into_iter()
-                .map(|e| (e.at, e.tag, e.detail.clone()))
-                .collect();
-            (d.clock().now() - t0, results, events, batch)
-        };
-        let (serial_dt, serial_results, serial_events, serial_batch) = run(false);
-        let (threaded_dt, threaded_results, threaded_events, threaded_batch) = run(true);
-        assert_eq!(threaded_dt, serial_dt);
-        assert_eq!(threaded_results, serial_results);
-        assert_eq!(threaded_events, serial_events);
-        for (a, b) in serial_batch.iter().zip(&threaded_batch) {
-            assert_eq!(a.buf.header, b.buf.header);
-            assert_eq!(a.buf.label, b.buf.label);
-            assert_eq!(a.buf.data, b.buf.data);
-        }
     }
 
     #[test]

@@ -35,6 +35,13 @@
 //! worked example). [`ablation::UnscheduledDisk`] is the scheduler's
 //! ablation twin for measuring exactly what chaining buys.
 //!
+//! [`DiskDrive`] runs every request form — a single [`Disk::do_op`], a
+//! buffered [`Disk::do_batch`], the zero-copy [`Disk::do_batch_read`] and
+//! [`Disk::do_batch_write`] — through one chained-command engine, so they
+//! differ only in how a request meets its sector. [`DriveArray`] (and the
+//! two-arm [`DualDrive`]) splits a batch across independent arms whose
+//! simulated timelines overlap; everything runs on the caller's thread.
+//!
 //! Packs are removable and serializable ([`DiskPack::to_image`]), so file
 //! systems survive across simulated machines — the openness property the
 //! paper builds on. Fault injection ([`inject`]) supports the robustness

@@ -38,8 +38,8 @@ const DEFAULT_CAPACITY: usize = 64 * 1024;
 ///
 /// Clones share the same buffer (and the same enabled gate). When the buffer
 /// fills, the oldest events are dropped (tests that care run on fresh traces,
-/// and counters are never dropped). The handle is `Send`/`Sync`, so overlapped
-/// device timelines may record from worker threads.
+/// and counters are never dropped). Devices record from the one thread that
+/// drives the simulation.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     shared: Arc<Shared>,
@@ -121,28 +121,6 @@ impl Trace {
             inner.dropped += 1;
         }
         inner.events.push_back(TraceEvent { at, tag, detail });
-    }
-
-    /// Appends every event of `other` (oldest first) to this trace,
-    /// draining `other`.
-    ///
-    /// A dual-drive adapter runs each unit's share of a batch on its own
-    /// private trace and merges them back in unit order, so the shared log
-    /// stays deterministic regardless of thread interleaving.
-    pub fn absorb(&self, other: &Trace) {
-        let mut moved = {
-            let mut src = other.lock();
-            src.dropped = 0;
-            std::mem::take(&mut src.events)
-        };
-        let mut inner = self.lock();
-        for ev in moved.drain(..) {
-            if inner.events.len() >= DEFAULT_CAPACITY {
-                inner.events.pop_front();
-                inner.dropped += 1;
-            }
-            inner.events.push_back(ev);
-        }
     }
 
     /// Number of recorded events with the given tag.
@@ -227,22 +205,6 @@ mod tests {
         t.set_enabled(true);
         t.record_with(SimTime::ZERO, "c", || "lazy".to_string());
         assert_eq!(t.count("c"), 1);
-    }
-
-    #[test]
-    fn absorb_moves_events_in_order() {
-        let shared = Trace::new();
-        shared.record(SimTime::from_micros(1), "s", "first");
-        let unit = Trace::new();
-        unit.record(SimTime::from_micros(2), "u", "second");
-        unit.record(SimTime::from_micros(3), "u", "third");
-        shared.absorb(&unit);
-        assert!(unit.is_empty());
-        let evs = shared.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].detail, "first");
-        assert_eq!(evs[1].detail, "second");
-        assert_eq!(evs[2].detail, "third");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! | `raw-disk-op-transitive`     | no fs/streams helper *reaches* a raw sector op    |
 //! | `error-path-discard`         | disk/net error results are never silently dropped |
 //! | `hashmap-iteration`          | no hash-order iteration on deterministic paths    |
-//! | `thread-discipline`          | host threads live only in `crates/disk`           |
+//! | `thread-discipline`          | no host threads in production code                |
 //! | `clock-discipline-transitive`| no helper *reaches* an undisciplined clock write  |
 //! | `protocol-totality`          | every defined opcode is dispatched and replied to |
 //!
@@ -392,16 +392,12 @@ fn is_for_loop_subject(before: &str) -> bool {
     b.ends_with(" in") || b == "in"
 }
 
-/// `thread-discipline`: host threads exist to overlap *simulated* drive arm
-/// timelines and live only in `crates/disk` (array/timeline merging), where
-/// the merge discipline (elapsed = max-of-arms, traces absorbed in arm
-/// order) keeps the simulation bit-identical. Anywhere else they are a
+/// `thread-discipline`: the simulation runs on one host thread. Concurrency
+/// (overlapped drive arms, a fleet of clients) is modelled in simulated
+/// time, so a host thread in production code of any crate is a
 /// nondeterminism hazard.
 fn thread_discipline(files: &[SourceFile], out: &mut Vec<Violation>) {
     for file in files {
-        if in_crates(file, &["crates/disk"]) {
-            continue;
-        }
         for line in production_lines(file) {
             for pat in ["thread::spawn(", "thread::scope(", "thread::Builder"] {
                 if line.code.contains(pat) {
@@ -411,9 +407,9 @@ fn thread_discipline(files: &[SourceFile], out: &mut Vec<Violation>) {
                         file,
                         line.number,
                         format!(
-                            "`{pat}` outside crates/disk — host threads are \
-                             confined to the drive-array timeline merge; model \
-                             concurrency in simulated time instead"
+                            "`{pat}` in production code — the simulation runs \
+                             on one host thread; model concurrency in simulated \
+                             time instead"
                         ),
                     );
                 }

@@ -372,22 +372,25 @@ fn dispatch(&mut self, p: &Packet) {
 }
 
 #[test]
-fn analyze_catches_thread_outside_disk() {
+fn analyze_catches_host_threads_anywhere() {
     let seeded = r#"
 fn sneak_parallelism(&mut self) {
     let handle = thread::spawn(|| expensive_scan());
     handle.join().expect("join");
 }
 "#;
-    let report = xtask::analyze_sources(&[("crates/fs/src/mutant.rs", seeded)]);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.rule == "thread-discipline"),
-        "analyze must flag host threads outside crates/disk, got {:?}",
-        report.violations
-    );
+    // Every crate is covered, the disk crate included.
+    for path in ["crates/fs/src/mutant.rs", "crates/disk/src/mutant.rs"] {
+        let report = xtask::analyze_sources(&[(path, seeded)]);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.rule == "thread-discipline"),
+            "analyze must flag host threads in {path}, got {:?}",
+            report.violations
+        );
+    }
 }
 
 #[test]
