@@ -948,7 +948,7 @@ fn pr2_cache_bench(json_path: Option<&str>) {
 /// serialized execution. With `--json <path>`, the numbers are also
 /// written as machine-readable JSON.
 fn pr3_write_behind_bench(json_path: Option<&str>) {
-    use alto_disk::{BatchRequest, DualDrive, SectorBuf, SectorOp};
+    use alto_disk::{BatchRequest, DriveArray, Placement, SectorBuf, SectorOp};
     use alto_streams::{DiskByteStream, Stream};
 
     header(
@@ -996,8 +996,13 @@ fn pr3_write_behind_bench(json_path: Option<&str>) {
     let requests = 24u16;
     let dual_run = |overlap: bool| -> (SimTime, SimTime) {
         let clock = SimClock::new();
-        let mut dual =
-            DualDrive::with_formatted_packs(clock.clone(), Trace::new(), DiskModel::Diablo31);
+        let mut dual = DriveArray::with_arms(
+            2,
+            Placement::Range,
+            clock.clone(),
+            Trace::new(),
+            DiskModel::Diablo31,
+        );
         dual.set_overlap_enabled(overlap);
         let per_drive = (dual.geometry().unwrap().sector_count() / 2) as u16;
         let mut batch: Vec<BatchRequest> = (0..requests)

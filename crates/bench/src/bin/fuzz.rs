@@ -33,6 +33,8 @@ use alto_fs::FileSystem;
 use alto_net::server::{PageRequest, PageStore};
 use alto_os::FsPageService;
 
+// lint: allow(thread-discipline) — a panic hook receives no state of its
+// own, so this slot is where it leaves the message for the fuzz loop
 thread_local! {
     /// The last panic's message + location, captured by our quiet hook.
     static LAST_PANIC: RefCell<Option<String>> = const { RefCell::new(None) };

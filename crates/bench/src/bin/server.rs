@@ -4,14 +4,14 @@
 //! Drives K clients × an M-arm drive array through the full stack —
 //! scripted clients retransmitting over the simulated ether, the
 //! `PageServer` request loop, `FsPageService` address-sorted batching,
-//! the zero-copy chained read path, pooled reply payloads — and reports
+//! the zero-copy chained read path, recycled reply payloads — and reports
 //! both simulated-time service rates and host (wall-clock) throughput:
 //!
 //! * served page requests per **simulated** second — the §4 service-rate
 //!   story: cross-client batching vs one-rotation-per-request naive
 //!   service (`--config naive` flips `set_batching_enabled(false)`);
 //! * served page requests per **wall** second and allocations per request
-//!   — the simulator-cost story (pooled payloads, zero-copy views);
+//!   — the simulator-cost story (recycled payloads, zero-copy views);
 //! * p50/p95/p99 reply latency in simulated time, first send → reply.
 //!
 //! Run with:
@@ -115,15 +115,15 @@ fn percentile(sorted: &[SimTime], p: f64) -> u64 {
     sorted[idx].as_nanos()
 }
 
-/// One complete fleet run to completion. The payload/wire pools are
-/// thread-local and survive across calls, so a warmup run at the same
-/// size leaves them at steady-state capacity and the measured run's
-/// allocation count reflects the hot path, not pool fill.
+/// One complete fleet run to completion. The run's `Ether` owns the
+/// payload and wire vectors, so the measured allocation count includes
+/// filling its spare list once; the disk layer's result-vector free list
+/// is thread-local and survives across calls, so a warmup run leaves it at
+/// steady-state capacity.
 fn run(config: &'static str, clients: usize, drives: usize, batching: bool) -> Point {
     let clock = SimClock::new();
     let trace = Trace::new();
     trace.set_enabled(false);
-    alto_disk::pool::set_enabled(true);
     let arr = DriveArray::with_arms(
         drives,
         Placement::Range,
@@ -286,9 +286,8 @@ fn main() {
         }
     }
 
-    // Warmup at the largest planned size: grows the thread-local payload
-    // pools (and every scratch vector) to steady state so the measured
-    // points count hot-path allocations only.
+    // Warmup at the largest planned size: grows the disk layer's
+    // thread-local free list to steady state before anything is measured.
     let warm = plan.iter().map(|&(_, n, _)| n).max().unwrap_or(0);
     if warm > 0 {
         let _ = run("warmup", warm, drives, true);

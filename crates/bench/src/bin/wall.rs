@@ -7,7 +7,7 @@
 //! the ROADMAP scale scenarios: chained sequential batches at the disk
 //! layer (§4 command chaining, the headline before/after trajectory),
 //! sequential streaming through the byte-stream and fs layers, random
-//! batches, scavenge sweeps, fault campaigns, and a dual-drive spanning
+//! batches, scavenge sweeps, fault campaigns, and a two-arm spanning
 //! batch that exercises the overlapped drive timelines.
 //!
 //! Run with:
@@ -16,19 +16,16 @@
 //! cargo run -p alto-bench --release --bin wall -- --json BENCH_wall.json
 //! ```
 //!
-//! `--config seed|optimized|both` selects the measured configuration:
-//! `seed` recovers the pre-PR6 cost profile through the ablation switches
-//! (eager always-on tracing, no buffer pooling, buffered sequential reads);
-//! `optimized` is the shipping configuration. The emitted JSON holds
-//! one point per configuration, so `both` (the default) produces the
-//! before/after trajectory in one run. See `docs/PERFORMANCE.md`.
+//! Every workload runs the shipping configuration with program tracing
+//! gated off. The emitted JSON holds one trajectory point. See
+//! `docs/PERFORMANCE.md`.
 
 use std::time::Instant;
 
 use alto_bench::fresh_fs;
 use alto_disk::{
-    BatchRequest, Disk, DiskAddress, DiskDrive, DiskModel, DriveArray, DualDrive, Placement,
-    SectorBuf, SectorOp,
+    BatchRequest, Disk, DiskAddress, DiskDrive, DiskModel, DriveArray, Placement, SectorBuf,
+    SectorOp,
 };
 use alto_fs::dir;
 use alto_fs::scavenge::Scavenger;
@@ -81,7 +78,7 @@ mod alloc_count {
 #[global_allocator]
 static ALLOC: alloc_count::Counting = alloc_count::Counting;
 
-/// One measured workload under one configuration.
+/// One measured workload.
 struct Measurement {
     workload: &'static str,
     /// Sector operations serviced during the measured window.
@@ -107,39 +104,6 @@ impl Measurement {
     }
 }
 
-/// The knobs that separate the seed cost profile from the optimized one.
-#[derive(Clone, Copy)]
-struct Config {
-    name: &'static str,
-    /// Eager tracing: every event formatted and buffered (the seed had no
-    /// off switch). Optimized runs measure with tracing gated off.
-    eager_trace: bool,
-    /// Sector-buffer / request-vector pooling in the disk and fs layers.
-    pooling: bool,
-    /// Zero-copy sector views for the sequential-read workload (the seed
-    /// had only the buffered `do_batch` path).
-    views: bool,
-}
-
-const SEED: Config = Config {
-    name: "seed-baseline",
-    eager_trace: true,
-    pooling: false,
-    views: false,
-};
-
-const OPTIMIZED: Config = Config {
-    name: "optimized",
-    eager_trace: false,
-    pooling: true,
-    views: true,
-};
-
-fn apply_config(cfg: Config, trace: &Trace) {
-    trace.set_enabled(cfg.eager_trace);
-    alto_disk::pool::set_enabled(cfg.pooling);
-}
-
 /// Runs `f` until it has consumed at least `min_wall_ms` of wall time,
 /// then returns the measurement. `f` must return the drive-stats `ops`
 /// count consumed per call (its workload is fixed per call).
@@ -149,7 +113,7 @@ fn measure(
     min_wall_ms: u64,
     mut f: impl FnMut() -> u64,
 ) -> Measurement {
-    // Warmup: one call, untimed (fills caches and pools).
+    // Warmup: one call, untimed (fills caches and scratch vectors).
     f();
     let allocs0 = alloc_count::allocs();
     let sim0 = clock.now();
@@ -181,22 +145,15 @@ const SEQ_BATCH: u16 = 4096;
 /// Chained sequential read of [`SEQ_BATCH`] consecutive sectors in one
 /// batch at the disk layer, folding a checksum over every delivered data
 /// word — the §4 command-chaining shape underneath every streaming
-/// workload, and the headline workload for the before/after trajectory.
-/// The optimized configuration consumes the sectors through zero-copy
-/// views (`do_batch_read`); the seed configuration reproduces the only
-/// path the seed had: `do_batch` copying every sector into a caller
-/// buffer, checksummed from there.
-fn seq_read(cfg: Config, min_wall_ms: u64) -> Measurement {
+/// workload, and the headline workload for the host-throughput trajectory.
+/// The sectors are consumed through zero-copy views (`do_batch_read`).
+fn seq_read(min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let mut drive =
         DiskDrive::with_formatted_pack(clock.clone(), trace.clone(), DiskModel::Diablo31, 1);
-    apply_config(cfg, &trace);
+    trace.set_enabled(false);
     let das: Vec<DiskAddress> = (0..SEQ_BATCH).map(DiskAddress).collect();
-    let mut batch: Vec<BatchRequest> = das
-        .iter()
-        .map(|&da| BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed()))
-        .collect();
     let fold = |data: &[u16; 256]| {
         let mut s = 0u16;
         for &w in data {
@@ -207,25 +164,12 @@ fn seq_read(cfg: Config, min_wall_ms: u64) -> Measurement {
     measure("seq_read", &clock, min_wall_ms, || {
         let before = drive.io_stats().ops;
         let mut sum = 0u16;
-        if cfg.views {
-            let results = drive.do_batch_read(&das, |_, v| sum ^= fold(v.data()));
-            for r in &results {
-                assert!(r.is_ok());
-            }
-            alto_disk::pool::recycle_results(results);
-        } else {
-            for r in drive.do_batch(&mut batch) {
-                assert!(r.is_ok());
-            }
-            for req in &batch {
-                sum ^= fold(&req.buf.data);
-            }
+        let results = drive.do_batch_read(&das, |_, v| sum ^= fold(v.data()));
+        for r in &results {
+            assert!(r.is_ok());
         }
+        alto_disk::pool::recycle_results(results);
         std::hint::black_box(sum);
-        // A real client drains the trace as it goes; clearing here keeps the
-        // eager configuration's event buffer bounded without hiding its
-        // per-event formatting cost.
-        trace.clear();
         drive.io_stats().ops - before
     })
 }
@@ -234,12 +178,12 @@ fn seq_read(cfg: Config, min_wall_ms: u64) -> Measurement {
 /// [`SEQ_BATCH`] consecutive sectors in one batch. The all-zero memory
 /// words pattern-match whatever the labels hold, so the workload is
 /// repeatable while still paying the full check-before-write path.
-fn seq_write(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn seq_write(min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let mut drive =
         DiskDrive::with_formatted_pack(clock.clone(), trace.clone(), DiskModel::Diablo31, 1);
-    apply_config(cfg, &trace);
+    trace.set_enabled(false);
     let mut batch: Vec<BatchRequest> = (0..SEQ_BATCH)
         .map(|i| BatchRequest::new(DiskAddress(i), SectorOp::WRITE, SectorBuf::zeroed()))
         .collect();
@@ -248,15 +192,14 @@ fn seq_write(cfg: Config, min_wall_ms: u64) -> Measurement {
         for r in drive.do_batch(&mut batch) {
             assert!(r.is_ok());
         }
-        trace.clear();
         drive.io_stats().ops - before
     })
 }
 
 /// Sequential stream read of a 100-page file into a reusable buffer.
-fn stream_read(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn stream_read(min_wall_ms: u64) -> Measurement {
     let mut fs = fresh_fs(DiskModel::Diablo31);
-    apply_config(cfg, &fs.disk().trace().clone());
+    fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
     let f = dir::create_named_file(&mut fs, root, "seq.dat").expect("create");
     fs.write_file(f, &vec![0xA5u8; FILE_BYTES]).expect("write");
@@ -272,9 +215,9 @@ fn stream_read(cfg: Config, min_wall_ms: u64) -> Measurement {
 }
 
 /// Sequential stream overwrite of a 100-page file (write-behind on).
-fn stream_write(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn stream_write(min_wall_ms: u64) -> Measurement {
     let mut fs = fresh_fs(DiskModel::Diablo31);
-    apply_config(cfg, &fs.disk().trace().clone());
+    fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
     let f = dir::create_named_file(&mut fs, root, "seq.dat").expect("create");
     fs.write_file(f, &vec![0xA5u8; FILE_BYTES]).expect("write");
@@ -290,9 +233,9 @@ fn stream_write(cfg: Config, min_wall_ms: u64) -> Measurement {
 }
 
 /// Random 16-request read batches over a populated pack.
-fn random_batch(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn random_batch(min_wall_ms: u64) -> Measurement {
     let mut fs = fresh_fs(DiskModel::Diablo31);
-    apply_config(cfg, &fs.disk().trace().clone());
+    fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
     for i in 0..8 {
         let f = dir::create_named_file(&mut fs, root, &format!("r{i}.dat")).expect("create");
@@ -313,9 +256,9 @@ fn random_batch(cfg: Config, min_wall_ms: u64) -> Measurement {
 }
 
 /// A full scavenger sweep over a populated pack.
-fn scavenge(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn scavenge(min_wall_ms: u64) -> Measurement {
     let mut fs = fresh_fs(DiskModel::Diablo31);
-    apply_config(cfg, &fs.disk().trace().clone());
+    fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
     for i in 0..10 {
         let f = dir::create_named_file(&mut fs, root, &format!("s{i}.dat")).expect("create");
@@ -331,9 +274,9 @@ fn scavenge(cfg: Config, min_wall_ms: u64) -> Measurement {
 }
 
 /// Rewrite campaign under a 1e-3 transient fault rate with bounded retry.
-fn campaign(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn campaign(min_wall_ms: u64) -> Measurement {
     let mut fs = fresh_fs(DiskModel::Diablo31);
-    apply_config(cfg, &fs.disk().trace().clone());
+    fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
     let f = dir::create_named_file(&mut fs, root, "c.dat").expect("create");
     let bytes = vec![0xC3u8; 20 * 512];
@@ -347,14 +290,20 @@ fn campaign(cfg: Config, min_wall_ms: u64) -> Measurement {
     })
 }
 
-/// A 96-request batch spanning both arms of a dual drive — 48 requests per
-/// unit, served on overlapped timelines.
-fn dual_batch(cfg: Config, min_wall_ms: u64) -> Measurement {
+/// A 96-request batch spanning both arms of a two-arm Range array (the
+/// §2 two-drive layout) — 48 requests per arm, served on overlapped
+/// timelines.
+fn dual_batch(min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
-    let mut dual =
-        DualDrive::with_formatted_packs(clock.clone(), trace.clone(), DiskModel::Diablo31);
-    apply_config(cfg, &trace);
+    let mut dual = DriveArray::with_arms(
+        2,
+        Placement::Range,
+        clock.clone(),
+        trace.clone(),
+        DiskModel::Diablo31,
+    );
+    trace.set_enabled(false);
     let per = DiskDrive::with_formatted_pack(SimClock::new(), Trace::new(), DiskModel::Diablo31, 9)
         .geometry()
         .expect("geometry")
@@ -383,13 +332,13 @@ fn dual_batch(cfg: Config, min_wall_ms: u64) -> Measurement {
 /// presented geometry degenerates to one sector per track). Addresses span
 /// the full global space, so every batch straddles the arm seam and the
 /// split/translate/reassemble path runs on both drives each iteration.
-fn array_mixed(cfg: Config, min_wall_ms: u64) -> Measurement {
+fn array_mixed(min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let d0 = DiskDrive::with_formatted_pack(clock.clone(), trace.clone(), DiskModel::Trident, 1);
     let d1 = DiskDrive::with_formatted_pack(clock.clone(), trace.clone(), DiskModel::Diablo31, 2);
     let mut arr = DriveArray::new(vec![d0, d1], Placement::Range).expect("mixed range array");
-    apply_config(cfg, &trace);
+    trace.set_enabled(false);
     let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xD1AB10);
     measure("array_mixed", &clock, min_wall_ms, || {
@@ -405,7 +354,6 @@ fn array_mixed(cfg: Config, min_wall_ms: u64) -> Measurement {
             assert!(r.is_ok());
         }
         alto_disk::pool::recycle_results(results);
-        trace.clear();
         arr.io_stats().ops - before
     })
 }
@@ -443,7 +391,7 @@ fn array_workload_name(shape: &str, k: usize) -> &'static str {
 /// overlapped per-arm chains and the batch elapses in max-of-arms
 /// simulated time. `k = 1` degenerates to a single drive — the control the
 /// K× simulated-time ratios are measured against.
-fn array_seq(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
+fn array_seq(k: usize, min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let mut arr = DriveArray::with_arms(
@@ -453,7 +401,7 @@ fn array_seq(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
         trace.clone(),
         DiskModel::Diablo31,
     );
-    apply_config(cfg, &trace);
+    trace.set_enabled(false);
     let mut batch: Vec<BatchRequest> = (0..SEQ_BATCH)
         .map(|i| BatchRequest::new(DiskAddress(i), SectorOp::READ_ALL, SectorBuf::zeroed()))
         .collect();
@@ -464,7 +412,6 @@ fn array_seq(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
             assert!(r.is_ok());
         }
         alto_disk::pool::recycle_results(results);
-        trace.clear();
         arr.io_stats().ops - before
     })
 }
@@ -473,7 +420,7 @@ fn array_seq(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
 /// global address space (hash placement). Random addresses scatter across
 /// the arms on their own; the scheduler sorts each arm's share and the
 /// timelines overlap.
-fn array_random(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
+fn array_random(k: usize, min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let mut arr = DriveArray::with_arms(
@@ -483,7 +430,7 @@ fn array_random(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
         trace.clone(),
         DiskModel::Diablo31,
     );
-    apply_config(cfg, &trace);
+    trace.set_enabled(false);
     let total = arr.geometry().expect("geometry").sector_count() as u64;
     let mut rng = SplitMix64::new(0xA44A1);
     measure(
@@ -503,7 +450,6 @@ fn array_random(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
                 assert!(r.is_ok());
             }
             alto_disk::pool::recycle_results(results);
-            trace.clear();
             arr.io_stats().ops - before
         },
     )
@@ -513,7 +459,7 @@ fn array_random(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
 /// the file-system layout): phase 1 and phase 3 read every pack's sectors
 /// in interleaved per-arm batches, so the K sweeps ride overlapped
 /// timelines.
-fn array_scavenge(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
+fn array_scavenge(k: usize, min_wall_ms: u64) -> Measurement {
     let clock = SimClock::new();
     let trace = Trace::new();
     let arr = DriveArray::with_arms(
@@ -523,7 +469,7 @@ fn array_scavenge(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
         trace.clone(),
         DiskModel::Diablo31,
     );
-    apply_config(cfg, &trace);
+    trace.set_enabled(false);
     let mut fs = FileSystem::format(arr).expect("format");
     let root = fs.root_dir();
     for i in 0..10 {
@@ -538,18 +484,17 @@ fn array_scavenge(cfg: Config, k: usize, min_wall_ms: u64) -> Measurement {
             let before = fs.disk().io_stats().ops;
             let report = Scavenger::run(&mut fs).expect("scavenge");
             std::hint::black_box(&report);
-            trace.clear();
             fs.disk().io_stats().ops - before
         },
     )
 }
 
-/// A flat workload: one measurement per configuration.
-type FlatWorkload = fn(Config, u64) -> Measurement;
-/// An array workload: one measurement per (configuration, arm count).
-type ArrayWorkload = fn(Config, usize, u64) -> Measurement;
+/// A flat workload: one measurement.
+type FlatWorkload = fn(u64) -> Measurement;
+/// An array workload: one measurement per arm count.
+type ArrayWorkload = fn(usize, u64) -> Measurement;
 
-fn run_config(cfg: Config, min_wall_ms: u64, only: Option<&str>) -> Vec<Measurement> {
+fn run_all(min_wall_ms: u64, only: Option<&str>) -> Vec<Measurement> {
     let keep = |name: &str| only.is_none_or(|pat| name.contains(pat));
     let flat: [(&str, FlatWorkload); 9] = [
         ("seq_read", seq_read),
@@ -565,7 +510,7 @@ fn run_config(cfg: Config, min_wall_ms: u64, only: Option<&str>) -> Vec<Measurem
     let mut rows = Vec::new();
     for (name, f) in flat {
         if keep(name) {
-            rows.push(f(cfg, min_wall_ms));
+            rows.push(f(min_wall_ms));
         }
     }
     let arrays: [(&str, ArrayWorkload); 3] = [
@@ -576,15 +521,15 @@ fn run_config(cfg: Config, min_wall_ms: u64, only: Option<&str>) -> Vec<Measurem
     for (shape, f) in arrays {
         for k in ARRAY_KS {
             if keep(array_workload_name(shape, k)) {
-                rows.push(f(cfg, k, min_wall_ms));
+                rows.push(f(k, min_wall_ms));
             }
         }
     }
     rows
 }
 
-fn print_point(cfg: &Config, rows: &[Measurement]) {
-    println!("\n== wall-clock throughput — {}", cfg.name);
+fn print_point(rows: &[Measurement]) {
+    println!("\n== wall-clock throughput");
     println!(
         "{:<14} {:>14} {:>14} {:>12} {:>12}",
         "workload", "sector-ops/s", "sim-s/wall-s", "allocs/op", "ops"
@@ -601,12 +546,10 @@ fn print_point(cfg: &Config, rows: &[Measurement]) {
     }
 }
 
-fn json_point(cfg: &Config, rows: &[Measurement]) -> String {
-    let mut out = format!("    {{\n      \"config\": \"{}\",\n", cfg.name);
-    out.push_str(&format!(
-        "      \"eager_trace\": {}, \"pooling\": {}, \"views\": {},\n",
-        cfg.eager_trace, cfg.pooling, cfg.views
-    ));
+fn json_point(rows: &[Measurement]) -> String {
+    // The point keeps the `config` key of the historic points in
+    // `BENCH_wall.json`, so the trajectory reads as one series.
+    let mut out = "    {\n      \"config\": \"optimized\",\n".to_string();
     out.push_str("      \"workloads\": {\n");
     let inner: Vec<String> = rows
         .iter()
@@ -630,7 +573,6 @@ fn json_point(cfg: &Config, rows: &[Measurement]) -> String {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut which = "both".to_string();
     let mut min_wall_ms = 300u64;
     let mut only: Option<String> = None;
     let mut raw = std::env::args().skip(1);
@@ -638,9 +580,6 @@ fn main() {
         match a.as_str() {
             "--json" => {
                 json_path = Some(raw.next().unwrap_or_else(|| "BENCH_wall.json".to_string()));
-            }
-            "--config" => {
-                which = raw.next().unwrap_or_else(|| "both".to_string());
             }
             "--ms" => {
                 min_wall_ms = raw
@@ -652,66 +591,40 @@ fn main() {
                 only = raw.next();
             }
             other => {
-                eprintln!("unknown argument {other}; usage: wall [--json PATH] [--config seed|optimized|both] [--ms N] [--only SUBSTR]");
+                eprintln!(
+                    "unknown argument {other}; usage: wall [--json PATH] [--ms N] [--only SUBSTR]"
+                );
                 std::process::exit(2);
             }
         }
     }
-    let configs: Vec<Config> = match which.as_str() {
-        "seed" => vec![SEED],
-        "optimized" => vec![OPTIMIZED],
-        _ => vec![SEED, OPTIMIZED],
+    // `--only SUBSTR` runs just the matching workloads — for quick A/B
+    // sampling of one shape on a noisy host. Workloads are mutually
+    // independent (each builds its own drive and file system), so skipping
+    // the rest changes nothing about the ones measured.
+    let rows = run_all(min_wall_ms, only.as_deref());
+    print_point(&rows);
+    // Simulated-time K-scaling of the drive-array workloads: sim-ns per
+    // sector op, single-arm control divided by the K-arm figure.
+    let sim_per_op = |name: &str| {
+        rows.iter()
+            .find(|m| m.workload == name)
+            .map(|m| m.sim_ns as f64 / m.ops.max(1) as f64)
     };
-    let mut measured: Vec<(Config, Vec<Measurement>)> = Vec::new();
-    for cfg in &configs {
-        // `--only SUBSTR` runs just the matching workloads — for quick A/B
-        // sampling of one shape on a noisy host. Workloads are mutually
-        // independent (each builds its own drive and file system), so
-        // skipping the rest changes nothing about the ones measured.
-        let rows = run_config(*cfg, min_wall_ms, only.as_deref());
-        print_point(cfg, &rows);
-        measured.push((*cfg, rows));
-    }
-    if let [(_, seed_rows), (_, opt_rows)] = measured.as_slice() {
-        println!("\n== speedup ({} / {})", OPTIMIZED.name, SEED.name);
-        for (s, o) in seed_rows.iter().zip(opt_rows) {
-            println!(
-                "{:<14} {:>7.2}x  ({:.0} -> {:.0} sector-ops/s)",
-                s.workload,
-                o.ops_per_sec() / s.ops_per_sec(),
-                s.ops_per_sec(),
-                o.ops_per_sec()
-            );
+    println!("\n== drive-array simulated-time scaling (vs one arm)");
+    for shape in ["seq", "random", "scavenge"] {
+        let base = sim_per_op(array_workload_name(shape, 1)).unwrap_or(f64::NAN);
+        let mut line = format!("array_{shape:<9}");
+        for k in ARRAY_KS {
+            let v = sim_per_op(array_workload_name(shape, k)).unwrap_or(f64::NAN);
+            line.push_str(&format!("  k{k}: {:>5.2}x", base / v));
         }
+        println!("{line}");
     }
-    // Simulated-time K-scaling of the drive-array workloads, from the last
-    // measured configuration: sim-ns per sector op, single-arm control
-    // divided by the K-arm figure.
-    if let Some((_, rows)) = measured.last() {
-        let sim_per_op = |name: &str| {
-            rows.iter()
-                .find(|m| m.workload == name)
-                .map(|m| m.sim_ns as f64 / m.ops.max(1) as f64)
-        };
-        println!("\n== drive-array simulated-time scaling (vs one arm)");
-        for shape in ["seq", "random", "scavenge"] {
-            let base = sim_per_op(array_workload_name(shape, 1)).unwrap_or(f64::NAN);
-            let mut line = format!("array_{shape:<9}");
-            for k in ARRAY_KS {
-                let v = sim_per_op(array_workload_name(shape, k)).unwrap_or(f64::NAN);
-                line.push_str(&format!("  k{k}: {:>5.2}x", base / v));
-            }
-            println!("{line}");
-        }
-    }
-    let points: Vec<String> = measured
-        .iter()
-        .map(|(cfg, rows)| json_point(cfg, rows))
-        .collect();
     if let Some(path) = json_path {
         let json = format!(
             "{{\n  \"bench\": \"wall\",\n  \"unit\": \"sector-ops per wall-clock second\",\n  \"points\": [\n{}\n  ]\n}}\n",
-            points.join(",\n")
+            json_point(&rows)
         );
         std::fs::write(&path, json).expect("write json");
         println!("\nwrote {path}");

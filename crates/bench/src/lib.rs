@@ -1,14 +1,12 @@
-//! Shared workload builders for the experiments and benches.
+//! Shared workload builders for the experiments and tests.
 //!
 //! Every experiment (E1–E10, see `DESIGN.md`) builds its workload through
-//! these helpers so the `experiments` binary and the benches measure
-//! exactly the same code paths. [`harness`] is the dependency-free bench
-//! harness: deterministic simulated time is the measurement.
+//! these helpers so the `experiments` binary and the timing tests measure
+//! exactly the same code paths.
 
 #![forbid(unsafe_code)]
 
 pub mod determinism;
-pub mod harness;
 
 use alto_disk::{DiskDrive, DiskModel};
 use alto_fs::names::FileFullName;

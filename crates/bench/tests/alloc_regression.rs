@@ -1,12 +1,12 @@
-//! Allocation regression test: the pooled steady-state batch read/write
-//! paths must not touch the heap at all.
+//! Allocation regression test: the steady-state batch read/write paths
+//! must not touch the heap at all.
 //!
 //! The wall-clock bench (`--bin wall`) *reports* allocs/op; this test
 //! *pins* the property so a regression fails CI instead of quietly showing
 //! up as a worse number in `BENCH_wall.json`. A counting global allocator
-//! wraps `System`, the drive is warmed until every free list and scratch
-//! vector has its steady-state capacity, and then whole batches are issued
-//! with the allocation counter watched across each configuration.
+//! wraps `System`, the drive is warmed until the free list and every owned
+//! scratch vector has its steady-state capacity, and then whole batches are
+//! issued with the allocation counter watched across each path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,12 +73,11 @@ const ROUNDS: usize = 32;
 fn pooled_steady_state_paths_allocate_nothing() {
     let trace = Trace::new();
     trace.set_enabled(false);
-    pool::set_enabled(true);
     let mut drive =
         DiskDrive::with_formatted_pack(SimClock::new(), trace.clone(), DiskModel::Diablo31, 1);
 
     // Caller-side steady state: one request vector reused across rounds, as
-    // the fs and write-behind layers do via the pool.
+    // the fs and write-behind layers do.
     let mut reads: Vec<BatchRequest> = (0..BATCH)
         .map(|i| BatchRequest::new(DiskAddress(i), SectorOp::READ_ALL, SectorBuf::zeroed()))
         .collect();
@@ -87,8 +86,8 @@ fn pooled_steady_state_paths_allocate_nothing() {
         .collect();
     let das: Vec<DiskAddress> = (0..BATCH).map(DiskAddress).collect();
 
-    // Warm-up: grows the drive's planning scratch, the pooled result
-    // vectors, and the thread-local free lists to steady-state capacity.
+    // Warm-up: grows the drive's planning scratch and the thread-local
+    // result-vector free list to steady-state capacity.
     for _ in 0..4 {
         pool::recycle_results(drive.do_batch(&mut reads));
         pool::recycle_results(drive.do_batch(&mut writes));
@@ -177,10 +176,10 @@ fn pooled_steady_state_paths_allocate_nothing() {
     // 16-page file through a held-open stream, cursor rewound between
     // rounds. This covers the whole stack above the drive — write-behind
     // parks and drains (the zero-copy write path), readahead refills, label
-    // verification — plus the stream-side buffer pool. Opening a stream is
-    // excluded: the leader cache hands back an owned copy of the leader
-    // (its name is a `String`), which is a per-open cost, not a per-page
-    // one.
+    // verification — plus the stream's own working vectors. Opening a
+    // stream is excluded: the leader cache hands back an owned copy of the
+    // leader (its name is a `String`), and the stream's vectors start
+    // empty, which are per-open costs, not per-page ones.
     let mut fs = alto_bench::fresh_fs(DiskModel::Diablo31);
     fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
@@ -272,10 +271,11 @@ fn pooled_steady_state_paths_allocate_nothing() {
 
     // Page-server hot path: requests arriving over the ether, batched
     // through `FsPageService`'s address-sorted zero-copy read, replies
-    // assembled on pooled payloads. Once sessions exist and every pool and
-    // scratch vector has its capacity, a full request/serve/reply/drain
-    // round must not touch the heap at all — this is the bench harness's
-    // "allocs/request" pinned to its steady-state floor.
+    // assembled on the ether's recycled payloads. Once sessions exist and
+    // every spare and scratch vector has its capacity, a full
+    // request/serve/reply/drain round must not touch the heap at all —
+    // this is the bench harness's "allocs/request" pinned to its
+    // steady-state floor.
     let sclock = SimClock::new();
     let strace = Trace::new();
     strace.set_enabled(false);
@@ -307,7 +307,7 @@ fn pooled_steady_state_paths_allocate_nothing() {
     let mut round = |measured: bool| {
         let before = allocs();
         for page in 1..=16u16 {
-            let mut payload = alto_net::pool::words_vec();
+            let mut payload = ether.words();
             payload.extend_from_slice(&[0, page]); // handle 0 in the open session
             ether
                 .send(Packet {
@@ -329,7 +329,7 @@ fn pooled_steady_state_paths_allocate_nothing() {
             .expect("drain");
         let got = drained.len();
         for pkt in drained.drain(..) {
-            alto_net::pool::recycle_words(pkt.payload);
+            ether.recycle(pkt.payload);
         }
         assert_eq!(got, 16, "not every page reply arrived");
         if measured {
@@ -342,16 +342,4 @@ fn pooled_steady_state_paths_allocate_nothing() {
     for _ in 0..ROUNDS {
         round(true);
     }
-
-    // The ablation switch really is the thing being measured: with pooling
-    // off, the same loop must allocate (otherwise the bench's allocs/op
-    // column is measuring nothing).
-    pool::set_enabled(false);
-    let before = allocs();
-    pool::recycle_results(drive.do_batch(&mut reads));
-    assert!(
-        allocs() - before > 0,
-        "pooling ablation did not change allocation behavior"
-    );
-    pool::set_enabled(true);
 }

@@ -14,9 +14,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use alto_disk::{Disk, DiskAddress, DATA_WORDS};
+use alto_disk::{Disk, DiskAddress, Label, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
-use alto_fs::{dir, FileFullName, FileSystem, PageName};
+use alto_fs::{dir, FileFullName, FileSystem, FsError, PageName};
 use alto_machine::{CodeFile, Machine, MachineError, Step};
 use alto_net::server::{
     OpenInfo, PageRequest, PageStore, STATUS_BAD_HANDLE, STATUS_BAD_PAGE, STATUS_IO,
@@ -293,6 +293,7 @@ pub struct FsPageService<'a, D: Disk> {
     names: Vec<PageName>,
     sorted_names: Vec<PageName>,
     valid: Vec<PageRequest>,
+    labels: Vec<Result<Label, FsError>>,
     /// Pages served through the batched fast path.
     pub fast_served: u64,
     /// Pages that needed the chain-walk slow path (stale hints).
@@ -310,6 +311,7 @@ impl<'a, D: Disk> FsPageService<'a, D> {
             names: Vec::new(),
             sorted_names: Vec::new(),
             valid: Vec::new(),
+            labels: Vec::new(),
             fast_served: 0,
             slow_served: 0,
         }
@@ -437,12 +439,14 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
         self.sorted_names
             .extend(self.order.iter().map(|&i| names[i]));
 
+        let mut labels = std::mem::take(&mut self.labels);
         let fast = &mut self.fast_served;
         let opens = &mut self.opens;
         let order = &self.order;
-        let labels = alto_fs::page::read_pages_zero_copy(
+        alto_fs::page::read_pages_zero_copy(
             self.fs.disk_mut(),
             &self.sorted_names,
+            &mut labels,
             |k, label, view| {
                 let i = order[k];
                 let r = &valid[i];
@@ -470,7 +474,7 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
                 Err(status) => failed.push((r.tag, status)),
             }
         }
-        alto_fs::pool::recycle_labels(labels);
+        self.labels = labels;
         self.valid = valid;
     }
 }

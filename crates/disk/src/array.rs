@@ -2,7 +2,7 @@
 //!
 //! The paper's machine room grows one drive at a time: "one or two
 //! moving-head disk drives", each an independent arm over its own pack.
-//! [`DriveArray`] generalizes the two-drive adapter to N arms behind the
+//! [`DriveArray`] generalizes the two-drive system to N arms behind the
 //! same abstract disk object (§2/§5.2): a *sharding layer* maps every
 //! global disk address to exactly one arm and a local address on it, a
 //! spanning batch is split into per-arm sub-batches, and the sub-batches
@@ -584,7 +584,7 @@ mod tests {
         // inverts route — so each global address has exactly one home.
         for placement in [Placement::Range, Placement::Hash] {
             for k in [1usize, 2, 4, 8] {
-                let d = array(k, placement);
+                let mut d = array(k, placement);
                 let total = d.geometry().unwrap().sector_count();
                 assert_eq!(total, 4872 * k as u32);
                 let mut per_arm = vec![0u32; k];
@@ -604,6 +604,18 @@ mod tests {
                 assert_eq!(per_arm.iter().sum::<u32>(), total);
                 for (arm, &n) in per_arm.iter().enumerate() {
                     assert_eq!(n, 4872, "{placement:?} K={k} arm {arm}");
+                }
+                // Outside the space — past the end, or NIL — `do_op`
+                // refuses before any arm is touched.
+                let mut buf = SectorBuf::zeroed();
+                for da in [DiskAddress(total as u16), DiskAddress::NIL] {
+                    assert!(
+                        matches!(
+                            d.do_op(da, SectorOp::READ_ALL, &mut buf),
+                            Err(DiskError::InvalidAddress(_))
+                        ),
+                        "{placement:?} K={k} {da:?}"
+                    );
                 }
             }
         }
@@ -675,10 +687,18 @@ mod tests {
         d.do_op(DiskAddress(4872 + 9000), SectorOp::READ, &mut buf)
             .unwrap();
         assert_eq!(buf.data, [(4872 + 9000) as u16; DATA_WORDS]);
+        // A wrong label claim bounces through the routing, on the far arm.
+        let mut buf = SectorBuf::with_label(live_label(2));
+        assert!(matches!(
+            d.do_op(DiskAddress(4872 + 9000), SectorOp::READ, &mut buf),
+            Err(DiskError::Check(_))
+        ));
         // The physical sector self-identifies with its pack and local
         // address.
         let s = d.arm(1).pack().unwrap().sector(DiskAddress(9000)).unwrap();
         assert_eq!(s.header, [2, 9000]);
+        // Arm 1's seeks left arm 0 on the cylinder of its own last op.
+        assert_eq!(d.arm(0).current_cylinder(), 4871 / 24);
     }
 
     #[test]
@@ -752,9 +772,18 @@ mod tests {
         // reschedules its own remainder (every other request still
         // succeeds, exactly once) and the batch's elapsed time is still
         // the max over the arms — the error must not shear the merged
-        // timeline.
+        // timeline. The last arm's share is one read whose label claim is
+        // wrong, so the shortest arm also ends in an error.
         let damaged_global = DiskAddress(4 * 100 + 2); // arm 2, local 100
+        let refused_global = DiskAddress(4 * 300 + 3); // arm 3, local 300
         let share = |d: &mut DriveArray, arm: u16| -> Vec<BatchRequest> {
+            if arm == 3 {
+                return vec![BatchRequest::new(
+                    refused_global,
+                    SectorOp::READ,
+                    SectorBuf::with_label(live_label(1)),
+                )];
+            }
             // Eight requests per arm, spread over cylinders; arm 2's share
             // contains the damaged sector in the middle.
             (0..8u16)
@@ -787,6 +816,8 @@ mod tests {
             for (req, res) in batch.iter().zip(&results) {
                 if req.da == damaged_global {
                     assert!(matches!(res, Err(DiskError::HardError { .. })), "{res:?}");
+                } else if req.da == refused_global {
+                    assert!(matches!(res, Err(DiskError::Check(_))), "{res:?}");
                 } else {
                     assert!(res.is_ok(), "{:?}: {res:?}", req.da);
                 }
@@ -795,8 +826,12 @@ mod tests {
                 // Each arm serviced its own share exactly once — the
                 // failure rescheduled only arm 2's remainder, on arm 2.
                 for arm in 0..4 {
-                    assert_eq!(d.arm(arm).stats().ops, 8, "arm {arm}");
+                    let want = if arm == 3 { 1 } else { 8 };
+                    assert_eq!(d.arm(arm).stats().ops, want, "arm {arm}");
                 }
+            } else {
+                // A share on one arm has nothing to overlap.
+                assert_eq!(d.io_stats().overlap_batches, 0);
             }
             d.clock().now() - t0
         };
@@ -807,6 +842,7 @@ mod tests {
             singles[2] > singles[0],
             "the replanned arm pays for its rescheduling"
         );
+        assert!(singles[3] < singles[0], "the refused arm is the short one");
         assert_eq!(all, longest);
     }
 
@@ -884,7 +920,8 @@ mod tests {
     fn mixed_batches_straddling_the_arm_boundary_are_served() {
         // Requests on both sides of the Diablo/Trident seam, interleaved so
         // the split-and-reassemble path has to preserve request order, in
-        // both the buffered and the zero-copy read form.
+        // both the buffered and the zero-copy read form. A NIL request
+        // rides along in the buffered batch and fails alone.
         let mut a = mixed(DiskModel::Diablo31, DiskModel::Trident);
         let seam = a.arm(0).geometry().expect("arm 0").sector_count() as u16;
         let das: Vec<DiskAddress> = (0..8)
@@ -898,11 +935,17 @@ mod tests {
             .collect();
         let mut batch: Vec<BatchRequest> = das
             .iter()
+            .chain([&DiskAddress::NIL])
             .map(|&da| BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed()))
             .collect();
-        for r in a.do_batch(&mut batch) {
-            r.unwrap();
+        let results = a.do_batch(&mut batch);
+        for r in &results[..das.len()] {
+            r.as_ref().unwrap();
         }
+        assert!(matches!(
+            results[das.len()],
+            Err(DiskError::InvalidAddress(_))
+        ));
         // Headers prove each request reached the right physical arm (pack 1
         // below the seam, pack 2 above it) — and that the buffered path
         // translated the sector's local self-address back to the caller's

@@ -113,10 +113,9 @@ pub trait Disk {
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
     /// results, timing, stats and traces, just with the 256-word copy in —
-    /// which is also how composite disks ([`crate::DualDrive`],
-    /// [`crate::DriveArray`]) inherit their splitting, header translation
-    /// and overlapped timelines for free. [`DiskDrive`] overrides it with a
-    /// genuinely zero-copy chain.
+    /// which is also how the composite [`crate::DriveArray`] inherits its
+    /// splitting, header translation and overlapped timelines for free.
+    /// [`DiskDrive`] overrides it with a genuinely zero-copy chain.
     fn do_batch_write<'a, S, V>(
         &mut self,
         das: &[DiskAddress],
@@ -163,7 +162,7 @@ pub trait Disk {
 
     /// A snapshot of this disk's cumulative I/O counters, for the
     /// Executive's `iostat` command and the benches. Composite disks
-    /// (e.g. [`crate::DualDrive`]) merge their members' counters. The
+    /// (e.g. [`crate::DriveArray`]) merge their members' counters. The
     /// default — all zeros — is for disks that keep none.
     fn io_stats(&self) -> DriveStats {
         DriveStats::default()
@@ -291,10 +290,11 @@ pub struct DriveStats {
     pub wb_drains: u64,
     /// Dirty pages written by those drains.
     pub wb_coalesced: u64,
-    /// Batches that a dual-drive executed with both units overlapped.
+    /// Batches that a drive array executed with two or more arms
+    /// overlapped.
     pub overlap_batches: u64,
     /// Simulated time saved by overlapping, versus serial execution (the
-    /// smaller unit's elapsed time, summed over overlapped batches).
+    /// shorter arms' elapsed time, summed over overlapped batches).
     pub overlap_saved: SimTime,
     /// Transient failures observed (each failed attempt counts once).
     pub soft_errors: u64,

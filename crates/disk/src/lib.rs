@@ -38,9 +38,10 @@
 //! [`DiskDrive`] runs every request form — a single [`Disk::do_op`], a
 //! buffered [`Disk::do_batch`], the zero-copy [`Disk::do_batch_read`] and
 //! [`Disk::do_batch_write`] — through one chained-command engine, so they
-//! differ only in how a request meets its sector. [`DriveArray`] (and the
-//! two-arm [`DualDrive`]) splits a batch across independent arms whose
-//! simulated timelines overlap; everything runs on the caller's thread.
+//! differ only in how a request meets its sector. [`DriveArray`] splits a
+//! batch across independent arms whose simulated timelines overlap — two
+//! Range arms are the paper's two-drive system (§2); everything runs on
+//! the caller's thread.
 //!
 //! Packs are removable and serializable ([`DiskPack::to_image`]), so file
 //! systems survive across simulated machines — the openness property the
@@ -58,7 +59,6 @@ pub mod ablation;
 pub mod array;
 pub mod audit;
 pub mod drive;
-pub mod dual;
 pub mod errors;
 pub mod geometry;
 pub mod inject;
@@ -74,7 +74,6 @@ pub use ablation::{UncheckedDisk, UnscheduledDisk};
 pub use array::{DriveArray, Placement};
 pub use audit::{AuditRule, AuditViolation, Auditor, UnparkOutcome};
 pub use drive::{Disk, DiskDrive, DriveStats};
-pub use dual::DualDrive;
 pub use errors::{CheckFailure, DiskError, SectorPart};
 pub use geometry::{DiskAddress, DiskGeometry, DiskModel};
 pub use inject::{FaultInjector, FaultKind};

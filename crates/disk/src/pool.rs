@@ -1,45 +1,31 @@
 //! Recycled buffers for the steady-state I/O paths.
 //!
-//! Every batched disk operation needs a request vector, a result vector and
-//! per-sector buffers. Allocating them per call dominated the wall-clock
-//! profile (see `docs/PERFORMANCE.md`), so the hot paths draw them from
-//! small thread-local free lists instead: a vector is taken with
-//! [`batch_vec`]/[`results_vec`], used, and handed back with
-//! the matching `recycle_*` call once its contents have been consumed. In
-//! the steady state every list has a warm vector with grown capacity, so a
-//! read or write costs zero heap allocations.
+//! [`crate::Disk::do_batch`], [`crate::Disk::do_batch_read`] and
+//! [`crate::Disk::do_batch_write`] return their per-request result vector
+//! by value, so no drive can keep it: the vector outlives the call and is
+//! consumed by whoever issued the batch. Allocating one per call dominated
+//! the wall-clock profile (see `docs/PERFORMANCE.md`), so the drives take
+//! result vectors from a small thread-local free list, and callers hand
+//! them back with [`recycle_results`] once consumed. The staged defaults of
+//! [`crate::Disk`] and the free functions of `alto_fs::page`, which own no
+//! state between calls, take their request and address vectors from the
+//! same lists. In the steady state every list has a warm vector with grown
+//! capacity, so a read or write costs zero heap allocations.
 //!
 //! Pooling is a *host-side* optimization: it never touches the simulated
 //! clock, the trace contents, or §3.3 semantics — recycled vectors are
-//! always cleared before reuse. [`set_enabled`] is the ablation switch the
-//! wall-clock benchmark uses to measure exactly what pooling buys; disabled,
-//! the take functions return fresh vectors and the recycle functions drop.
+//! always cleared before reuse. Everything else a batch needs lives in the
+//! object that uses it (the drive's planning scratch, the array's split
+//! storage, the file system's staging vectors, the ether's word vectors).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::errors::DiskError;
 use crate::geometry::DiskAddress;
 use crate::sched::BatchRequest;
 
-/// Global pooling gate (on by default). Relaxed ordering suffices: the flag
-/// only selects between two correct allocation strategies.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// True when the free lists are in use (the default).
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns the free lists on or off, process-wide. Off, every take allocates
-/// and every recycle drops — the benchmark's "seed allocation behavior"
-/// ablation.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// How many vectors each free list retains per thread. Four covers the
-/// deepest current nesting (a dual-drive batch inside an fs batch, with a
+/// deepest current nesting (an array batch inside an fs batch, with a
 /// write-behind flush in flight); anything beyond the cap is simply dropped.
 const PER_LIST: usize = 4;
 
@@ -49,6 +35,8 @@ struct FreeLists {
     das: Vec<Vec<DiskAddress>>,
 }
 
+// lint: allow(thread-discipline) — `Disk` returns result vectors by value,
+// so they outlive any drive-owned buffer; this one free list recycles them
 thread_local! {
     static LISTS: RefCell<FreeLists> = const {
         RefCell::new(FreeLists {
@@ -61,9 +49,6 @@ thread_local! {
 
 /// An empty request vector, recycled when possible.
 pub fn batch_vec() -> Vec<BatchRequest> {
-    if !enabled() {
-        return Vec::new();
-    }
     LISTS
         .with(|l| l.borrow_mut().batches.pop())
         .unwrap_or_default()
@@ -71,7 +56,7 @@ pub fn batch_vec() -> Vec<BatchRequest> {
 
 /// Returns a request vector to the free list (contents are dropped).
 pub fn recycle_batch(mut v: Vec<BatchRequest>) {
-    if !enabled() || v.capacity() == 0 {
+    if v.capacity() == 0 {
         return;
     }
     v.clear();
@@ -85,9 +70,6 @@ pub fn recycle_batch(mut v: Vec<BatchRequest>) {
 
 /// An empty per-request result vector, recycled when possible.
 pub fn results_vec() -> Vec<Result<(), DiskError>> {
-    if !enabled() {
-        return Vec::new();
-    }
     LISTS
         .with(|l| l.borrow_mut().results.pop())
         .unwrap_or_default()
@@ -95,7 +77,7 @@ pub fn results_vec() -> Vec<Result<(), DiskError>> {
 
 /// Returns a result vector to the free list.
 pub fn recycle_results(mut v: Vec<Result<(), DiskError>>) {
-    if !enabled() || v.capacity() == 0 {
+    if v.capacity() == 0 {
         return;
     }
     v.clear();
@@ -110,15 +92,12 @@ pub fn recycle_results(mut v: Vec<Result<(), DiskError>>) {
 /// An empty disk-address vector, recycled when possible — the zero-copy
 /// batch paths take their address lists from here.
 pub fn da_vec() -> Vec<DiskAddress> {
-    if !enabled() {
-        return Vec::new();
-    }
     LISTS.with(|l| l.borrow_mut().das.pop()).unwrap_or_default()
 }
 
 /// Returns a disk-address vector to the free list.
 pub fn recycle_das(mut v: Vec<DiskAddress>) {
-    if !enabled() || v.capacity() == 0 {
+    if v.capacity() == 0 {
         return;
     }
     v.clear();
@@ -151,17 +130,6 @@ mod tests {
         let v2 = batch_vec();
         assert!(v2.is_empty());
         assert!(v2.capacity() >= cap.min(8));
-    }
-
-    #[test]
-    fn disabled_pool_hands_out_fresh_vectors() {
-        set_enabled(false);
-        let mut v = results_vec();
-        v.push(Ok(()));
-        recycle_results(v);
-        let v2 = results_vec();
-        assert_eq!(v2.capacity(), 0);
-        set_enabled(true);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::errors::FsError;
 use crate::leader::LeaderPage;
 use crate::names::{FileFullName, Fv, PageName, SerialNumber};
 use crate::page;
-use crate::pool;
 
 /// Bytes per page.
 pub const PAGE_BYTES: usize = DATA_WORDS * 2;
@@ -80,6 +79,11 @@ pub struct FileSystem<D: Disk> {
     desc: DiskDescriptor,
     stats: FsStats,
     cache: HintCache,
+    /// Page images staged for one guessed write batch of `write_file`,
+    /// kept across calls so a warm rewrite allocates nothing.
+    write_chunks: Vec<[u16; DATA_WORDS]>,
+    /// The labels that batch captured, likewise reused.
+    write_labels: Vec<Result<Label, FsError>>,
 }
 
 /// What the name index had to say about a lookup (see
@@ -101,12 +105,7 @@ impl<D: Disk> FileSystem<D> {
         let geometry = disk.geometry()?;
         let pack = disk.pack_number()?;
         let desc = DiskDescriptor::fresh(geometry, pack);
-        let mut fs = FileSystem {
-            disk,
-            desc,
-            stats: FsStats::default(),
-            cache: HintCache::new(),
-        };
+        let mut fs = FileSystem::from_parts(disk, desc);
         let now = fs.now();
 
         // Reserve every well-known address first: the boot page (its label
@@ -162,6 +161,8 @@ impl<D: Disk> FileSystem<D> {
             desc,
             stats: FsStats::default(),
             cache: HintCache::new(),
+            write_chunks: Vec::new(),
+            write_labels: Vec::new(),
         }
     }
 
@@ -177,12 +178,7 @@ impl<D: Disk> FileSystem<D> {
         if desc.shape != disk.geometry()? {
             return Err(FsError::NotFormatted("descriptor shape mismatch"));
         }
-        Ok(FileSystem {
-            disk,
-            desc,
-            stats: FsStats::default(),
-            cache: HintCache::new(),
-        })
+        Ok(FileSystem::from_parts(disk, desc))
     }
 
     /// Flushes the descriptor and returns the disk.
@@ -840,9 +836,10 @@ impl<D: Disk> FileSystem<D> {
         // label check and let a wrong guess through, so such files (and
         // non-consecutive ones) take the per-page path below.
         if leader.maybe_consecutive && file.fv.serial.words()[1] != 0 {
-            // Staging and result vectors are pooled and reused across
-            // batches: a warm rewrite allocates nothing here.
-            let mut chunks = pool::chunks_vec();
+            // Staging and result vectors live on the file system and are
+            // reused across batches: a warm rewrite allocates nothing here.
+            let chunks = &mut self.write_chunks;
+            let labels = &mut self.write_labels;
             'batched: while n < new_pages && !da.is_nil() {
                 // Only full, already-existing pages belong in a batch:
                 // clamp to the page before the last new one and to the old
@@ -861,11 +858,12 @@ impl<D: Disk> FileSystem<D> {
                     pack_bytes(&bytes[start..start + PAGE_BYTES], &mut data);
                     chunks.push(data);
                 }
-                let labels = page::write_pages_guessed(
+                page::write_pages_guessed(
                     &mut self.disk,
                     file.fv,
                     PageName::new(file.fv, n, da),
-                    &chunks,
+                    chunks,
+                    labels,
                 )?;
                 // True when the batch ended on a good link and the next
                 // batch should be issued from `da`; false diverts to the
@@ -918,7 +916,6 @@ impl<D: Disk> FileSystem<D> {
                         }
                     }
                 }
-                pool::recycle_labels(labels);
                 if !resume {
                     // The last entry always diverts (length change, chain
                     // end, or link jump), so falling out of the member loop
@@ -926,7 +923,6 @@ impl<D: Disk> FileSystem<D> {
                     break 'batched;
                 }
             }
-            pool::recycle_chunks(chunks);
         }
 
         while n <= new_pages {

@@ -526,6 +526,12 @@ mod tests {
         // Out-of-range guesses are also safe.
         let miss = guess_consecutive(&mut fs, f.fv, (1, DiskAddress(60000)), 10000).unwrap();
         assert!(miss.is_none());
+        // A guess that lands inside the same file on the wrong page (what a
+        // scattered file does to the guess): the serial matches, the page
+        // number does not, and the check refuses it.
+        let (l0, _) = fs.read_page(f.leader_page()).unwrap();
+        let miss = guess_consecutive(&mut fs, f.fv, (2, l0.next), 3).unwrap();
+        assert!(miss.is_none());
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod journal;
 pub mod leader;
 pub mod names;
 pub mod page;
-pub mod pool;
 pub mod scavenge;
 
 pub use cache::CacheStats;

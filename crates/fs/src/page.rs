@@ -290,22 +290,23 @@ pub fn read_pages_guessed<D: Disk>(
 /// discipline (the drive halted its chain there and rescheduled the rest,
 /// so only the failed member re-issues, through a private staging buffer).
 ///
-/// Returns one verified label (or error) per entry, in entry order, in a
-/// pooled vector — recycle it with [`crate::pool::recycle_labels`]. This
-/// is the page-service hot path: the Alto-as-file-server request loop
-/// feeds every client's reads into one call, sorted by disk address.
+/// Clears `out` and fills it with one verified label (or error) per
+/// entry, in entry order, so a caller that serves batch after batch can
+/// reuse the same vector. This is the page-service hot path: the
+/// Alto-as-file-server request loop feeds every client's reads into one
+/// call, sorted by disk address.
 pub fn read_pages_zero_copy<D, V>(
     disk: &mut D,
     reads: &[PageName],
+    out: &mut Vec<Result<Label, FsError>>,
     mut visit: V,
-) -> Vec<Result<Label, FsError>>
-where
+) where
     D: Disk,
     V: FnMut(usize, Label, SectorView<'_>),
 {
     let mut das = pool::da_vec();
     das.extend(reads.iter().map(|r| r.da));
-    let mut out = crate::pool::labels_vec();
+    out.clear();
     // Placeholder, overwritten below: the visitor fills verified entries
     // and the result pass fills every failed one.
     out.resize_with(reads.len(), || Err(FsError::Disk(DiskError::NoPack)));
@@ -335,14 +336,14 @@ where
     }
     pool::recycle_results(results);
     pool::recycle_das(das);
-    out
 }
 
 /// Writes full data pages `start.page ..` of one file as a chained batch
 /// at guessed consecutive addresses — the write-side twin of
 /// [`read_pages_guessed`]. Each request is an ordinary data write whose
 /// label check must pass before the value is touched, so a wrong guess
-/// writes nothing (§3.3). Returns each page's captured label.
+/// writes nothing (§3.3). Clears `out` and fills it with each page's
+/// captured label.
 ///
 /// The caller must ensure the check pattern has teeth: guessed writes are
 /// only safe when the file's serial low word is non-zero (a zero word is
@@ -353,7 +354,9 @@ pub fn write_pages_guessed<D: Disk>(
     fv: Fv,
     start: PageName,
     chunks: &[[u16; DATA_WORDS]],
-) -> Result<Vec<Result<Label, FsError>>, FsError> {
+    out: &mut Vec<Result<Label, FsError>>,
+) -> Result<(), FsError> {
+    out.clear();
     let pack = disk.pack_number()?;
     let mut batch = pool::batch_vec();
     for (j, chunk) in chunks.iter().enumerate() {
@@ -364,7 +367,6 @@ pub fn write_pages_guessed<D: Disk>(
         batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
     }
     let mut results = batch_with_retry(disk, &mut batch);
-    let mut out = crate::pool::labels_vec();
     out.extend(
         results
             .drain(..)
@@ -378,7 +380,7 @@ pub fn write_pages_guessed<D: Disk>(
     );
     pool::recycle_results(results);
     pool::recycle_batch(batch);
-    Ok(out)
+    Ok(())
 }
 
 /// Drains a write-behind buffer and refills a readahead buffer in one
@@ -1034,7 +1036,8 @@ mod tests {
             [0xA3; DATA_WORDS],
         ];
         let start = PageName::new(fv(), 1, DiskAddress(40));
-        let wrote = write_pages_guessed(&mut d, fv(), start, &chunks).unwrap();
+        let mut wrote = Vec::new();
+        write_pages_guessed(&mut d, fv(), start, &chunks, &mut wrote).unwrap();
         assert!(wrote.iter().all(std::result::Result::is_ok));
         let s = d.stats();
         // 3 batched services + exactly 1 retry re-issue; the two clean

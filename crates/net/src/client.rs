@@ -22,7 +22,6 @@ use alto_sim::SimTime;
 
 use crate::ether::{Ether, HostId, NetError};
 use crate::packet::{Packet, PacketType};
-use crate::pool;
 use crate::server::{
     encode_name, ERR_REPLY, OPEN_REPLY, OPEN_REQUEST, PAGE_REPLY, READ_REQUEST, STATUS_OK,
 };
@@ -142,8 +141,7 @@ impl ScriptedClient {
 
     /// Absorbs one reply addressed to this client. Pushes the request's
     /// first-send → reply latency onto `samples` for served pages.
-    /// Consumes (recycles) the packet's payload.
-    pub fn on_packet(&mut self, pkt: Packet, now: SimTime, samples: &mut Vec<SimTime>) {
+    pub fn on_packet(&mut self, pkt: &Packet, now: SimTime, samples: &mut Vec<SimTime>) {
         match pkt.ptype {
             OPEN_REPLY if self.phase == ClientPhase::Opening => {
                 if let [STATUS_OK, handle, pages, _last_len] = pkt.payload[..] {
@@ -188,7 +186,6 @@ impl ScriptedClient {
             }
             _ => self.duplicates += 1,
         }
-        pool::recycle_words(pkt.payload);
     }
 
     /// Drives the script forward: sends the open, fills the request
@@ -213,7 +210,7 @@ impl ScriptedClient {
                             return Ok(sent);
                         }
                     }
-                    let mut payload = pool::words_vec();
+                    let mut payload = ether.words();
                     encode_name(&self.file, &mut payload);
                     self.transmit(ether, OPEN_REQUEST, 0, payload)?;
                     self.open_sent = Some(now);
@@ -232,7 +229,7 @@ impl ScriptedClient {
                         self.phase = ClientPhase::Failed;
                         return Ok(sent);
                     }
-                    let mut payload = pool::words_vec();
+                    let mut payload = ether.words();
                     payload.extend_from_slice(&[self.handle, o.page]);
                     self.transmit(ether, READ_REQUEST, o.seq, payload)?;
                     let o = &mut self.window[i];
@@ -248,7 +245,7 @@ impl ScriptedClient {
                     let seq = self.next_seq;
                     self.next_page += 1;
                     self.next_seq = self.next_seq.wrapping_add(1);
-                    let mut payload = pool::words_vec();
+                    let mut payload = ether.words();
                     payload.extend_from_slice(&[self.handle, page]);
                     self.transmit(ether, READ_REQUEST, seq, payload)?;
                     self.window.push(Outstanding {
@@ -374,8 +371,9 @@ impl ClientFleet {
     }
 
     /// One fleet tick: drain every host inbox once, route replies to their
-    /// clients, then pump every unfinished client. Returns packets
-    /// received plus packets sent (0 means the fleet is idle — waiting).
+    /// clients (handing each consumed payload back to the ether), then
+    /// pump every unfinished client. Returns packets received plus packets
+    /// sent (0 means the fleet is idle — waiting).
     pub fn tick(&mut self, ether: &mut Ether) -> Result<u64, NetError> {
         let now = ether.clock().now();
         let mut events = 0u64;
@@ -388,10 +386,9 @@ impl ClientFleet {
                 let idx = hi * self.per_host + slot;
                 if slot < self.per_host && idx < self.clients.len() {
                     events += 1;
-                    self.clients[idx].on_packet(pkt, now, &mut self.samples);
-                } else {
-                    pool::recycle_words(pkt.payload);
+                    self.clients[idx].on_packet(&pkt, now, &mut self.samples);
                 }
+                ether.recycle(pkt.payload);
             }
         }
         self.inbox = inbox;

@@ -10,8 +10,7 @@ use std::collections::VecDeque;
 
 use alto_sim::{SimClock, SimTime, SplitMix64, Trace};
 
-use crate::packet::{Packet, MAX_PAYLOAD_WORDS};
-use crate::pool;
+use crate::packet::{Packet, HEADER_WORDS, MAX_PAYLOAD_WORDS};
 
 /// A host address on the ether (0 is broadcast and cannot be a host).
 pub type HostId = u8;
@@ -47,6 +46,11 @@ impl std::error::Error for NetError {}
 /// Time to put one 16-bit word on a 3 Mb/s wire.
 pub const WORD_TIME: SimTime = SimTime::from_nanos(5_333);
 
+/// Words in the largest wire image: header, a full payload and the
+/// checksum. Every word vector the ether creates has room for one, so a
+/// vector reused as a payload, then as a wire image, never regrows.
+const WIRE_WORDS: usize = HEADER_WORDS + MAX_PAYLOAD_WORDS + 1;
+
 #[derive(Debug)]
 struct Inbox {
     host: HostId,
@@ -67,6 +71,9 @@ pub struct Ether {
     pub sent: u64,
     /// Packets dropped by injected loss.
     pub lost: u64,
+    /// Word vectors whose packets have been consumed, ready for the next
+    /// payload or wire image ([`Ether::words`], [`Ether::recycle`]).
+    spare: Vec<Vec<u16>>,
 }
 
 impl Ether {
@@ -81,7 +88,29 @@ impl Ether {
             rng: SplitMix64::new(0xE7E7),
             sent: 0,
             lost: 0,
+            spare: Vec::new(),
         }
+    }
+
+    /// An empty word vector for a payload or a wire image: a recycled one
+    /// when the ether holds a spare, else a new one with room for the
+    /// largest wire image. Senders that take their payloads here, and
+    /// receivers that [`Ether::recycle`] what they consume, keep a steady
+    /// exchange free of heap allocation.
+    pub fn words(&mut self) -> Vec<u16> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(WIRE_WORDS))
+    }
+
+    /// Takes back a consumed packet's word vector (its contents are
+    /// dropped) for a later [`Ether::words`].
+    pub fn recycle(&mut self, mut words: Vec<u16>) {
+        if words.capacity() == 0 {
+            return;
+        }
+        words.clear();
+        self.spare.push(words);
     }
 
     /// Configures deterministic random loss: `num` in `denom` packets are
@@ -143,9 +172,9 @@ impl Ether {
             // panic on the self-decode below.
             return Err(NetError::Oversized(packet.payload.len()));
         }
-        // The wire image is staged on a recycled vector; the consumed
+        // The wire image is staged on a spare vector; the consumed
         // packet's payload is recycled below once its words are encoded.
-        let mut wire = pool::words_vec();
+        let mut wire = self.words();
         packet.encode_into(&mut wire);
         // lint: allow(clock-discipline) — the Ethernet is a hardware model
         // with the same standing as the disk: transmission charges wire time
@@ -157,8 +186,8 @@ impl Ether {
             self.lost += 1;
             self.trace
                 .record_with(arrival, "net.lost", || format!("seq {}", packet.seq));
-            pool::recycle_words(wire);
-            pool::recycle_words(packet.payload);
+            self.recycle(wire);
+            self.recycle(packet.payload);
             return Ok(());
         }
         self.trace.record_with(arrival, "net.sent", || {
@@ -168,12 +197,12 @@ impl Ether {
             )
         });
         if packet.dst_host != 0 {
-            // Unicast: decode once onto the sender's recycled payload
-            // vector and *move* the packet into the one inbox — the hot
-            // path delivers with zero heap traffic.
+            // Unicast: decode once onto the sender's payload vector and
+            // *move* the packet into the one inbox — the hot path delivers
+            // with zero heap traffic.
             let delivered =
                 Packet::decode_with(&wire, packet.payload).expect("self-encoded packet");
-            pool::recycle_words(wire);
+            self.recycle(wire);
             if let Some(inbox) = self.inboxes.iter_mut().find(|i| i.host == packet.dst_host) {
                 inbox.queue.push_back((arrival, delivered));
             }
@@ -184,12 +213,12 @@ impl Ether {
             if packet.src_host == self.inboxes[k].host {
                 continue;
             }
-            let delivered =
-                Packet::decode_with(&wire, pool::words_vec()).expect("self-encoded packet");
+            let copy = self.words();
+            let delivered = Packet::decode_with(&wire, copy).expect("self-encoded packet");
             self.inboxes[k].queue.push_back((arrival, delivered));
         }
-        pool::recycle_words(wire);
-        pool::recycle_words(packet.payload);
+        self.recycle(wire);
+        self.recycle(packet.payload);
         Ok(())
     }
 
@@ -218,8 +247,8 @@ impl Ether {
     /// the batch receive the page server's request loop is built on: one
     /// pass over the inbox per tick instead of one scan per socket.
     ///
-    /// Recycle each consumed packet's payload with
-    /// [`pool::recycle_words`] to keep the steady state allocation-free.
+    /// Recycle each consumed packet's payload with [`Ether::recycle`] to
+    /// keep the steady state allocation-free.
     pub fn drain_arrived(&mut self, host: HostId, out: &mut Vec<Packet>) -> Result<(), NetError> {
         let now = self.clock.now();
         let inbox = self

@@ -15,15 +15,14 @@
 //! * [`proto`] — a minimal stop-and-wait file-transfer protocol over it;
 //! * [`server`] / [`client`] — the page/file server of §5.2 and the
 //!   scripted diskless clients that load it: batched cross-client service
-//!   through a pluggable [`PageStore`], replies on pooled zero-copy
-//!   payload buffers.
+//!   through a pluggable [`PageStore`], replies on the ether's recycled
+//!   payload vectors ([`Ether::words`]).
 
 #![forbid(unsafe_code)]
 
 pub mod client;
 pub mod ether;
 pub mod packet;
-pub mod pool;
 pub mod proto;
 pub mod server;
 

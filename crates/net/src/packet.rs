@@ -130,9 +130,9 @@ impl Packet {
         w
     }
 
-    /// Encodes to the wire format into `out` (cleared first) — the pooled
-    /// transmit path: the ether stages onto a recycled wire vector instead
-    /// of allocating one per send.
+    /// Encodes to the wire format into `out` (cleared first) — the
+    /// recycling transmit path: the ether stages onto a spare wire vector
+    /// instead of allocating one per send.
     pub fn encode_into(&self, out: &mut Vec<u16>) {
         out.clear();
         out.reserve(self.wire_words());
@@ -152,7 +152,7 @@ impl Packet {
     }
 
     /// [`Packet::decode`] reusing `payload` (cleared first) as the payload
-    /// vector — the pooled receive path. On error the vector is dropped;
+    /// vector — the recycling receive path. On error the vector is dropped;
     /// decode errors are the cold path.
     pub fn decode_with(words: &[u16], mut payload: Vec<u16>) -> Result<Packet, PacketError> {
         if words.len() < HEADER_WORDS + 1 {

@@ -16,9 +16,10 @@
 //!   clients coalesce into single disk command chains instead of paying a
 //!   full rotation each (`set_batching_enabled(false)` restores the naive
 //!   per-request service for the ablation);
-//! * replies are assembled on pooled payload vectors filled straight from
-//!   the store's zero-copy sector views: one copy platter → payload, no
-//!   staging buffer, no per-request allocation.
+//! * replies are assembled on the ether's recycled payload vectors
+//!   ([`Ether::words`]), filled straight from the store's zero-copy sector
+//!   views: one copy platter → payload, no staging buffer, no per-request
+//!   allocation.
 //!
 //! The protocol is Pup-flavoured and deliberately idempotent: re-opening a
 //! name returns the same handle and re-reading a page returns the same
@@ -34,7 +35,6 @@ use alto_disk::DATA_WORDS;
 
 use crate::ether::{Ether, HostId, NetError};
 use crate::packet::{Packet, PacketType};
-use crate::pool;
 
 /// The well-known socket the page server listens on.
 pub const PAGE_SERVICE_SOCKET: u16 = 0o50;
@@ -182,7 +182,7 @@ pub struct ServerStats {
 }
 
 /// The request loop: drains the server host's inbox, multiplexes sessions,
-/// batches reads into the store, and replies on pooled buffers.
+/// batches reads into the store, and replies on recycled buffers.
 #[derive(Debug)]
 pub struct PageServer {
     host: HostId,
@@ -246,13 +246,13 @@ impl PageServer {
         self.failed.clear();
         for pkt in inbox.drain(..) {
             if pkt.dst_socket != self.socket {
-                pool::recycle_words(pkt.payload);
+                ether.recycle(pkt.payload);
                 continue;
             }
             match pkt.ptype {
                 OPEN_REQUEST => self.handle_open(ether, store, pkt),
                 READ_REQUEST => self.collect_read(ether, pkt),
-                _ => pool::recycle_words(pkt.payload),
+                _ => ether.recycle(pkt.payload),
             }
         }
         self.inbox = inbox;
@@ -319,12 +319,12 @@ impl PageServer {
             socket: pkt.src_socket,
             seq: pkt.seq,
         };
-        let Some(name) = decode_name(&pkt.payload) else {
-            pool::recycle_words(pkt.payload);
+        let name = decode_name(&pkt.payload);
+        ether.recycle(pkt.payload);
+        let Some(name) = name else {
             self.error_reply(ether, to, STATUS_MALFORMED);
             return;
         };
-        pool::recycle_words(pkt.payload);
         let session = self.sessions.entry((to.host, to.socket)).or_default();
         // Idempotent re-open: a retransmitted OPEN finds its entry.
         let existing = session.opens.iter().position(|(n, _)| *n == name);
@@ -341,7 +341,7 @@ impl PageServer {
                 }
             },
         };
-        let mut payload = pool::words_vec();
+        let mut payload = ether.words();
         payload.extend_from_slice(&[STATUS_OK, handle, info.pages, info.last_len]);
         let reply = Packet {
             ptype: OPEN_REPLY,
@@ -365,7 +365,7 @@ impl PageServer {
             [handle, page] => Some((handle, page)),
             _ => None,
         };
-        pool::recycle_words(pkt.payload);
+        ether.recycle(pkt.payload);
         let Some((handle, page)) = parsed else {
             self.error_reply(ether, to, STATUS_MALFORMED);
             return;
@@ -395,7 +395,7 @@ impl PageServer {
 
     fn error_reply(&mut self, ether: &mut Ether, to: PendingReply, status: u16) {
         self.stats.errors += 1;
-        let mut payload = pool::words_vec();
+        let mut payload = ether.words();
         payload.push(status);
         let reply = Packet {
             ptype: ERR_REPLY,
@@ -422,7 +422,7 @@ fn send_reply(ether: &mut Ether, send_failures: &mut u64, reply: Packet) {
     }
 }
 
-/// Builds and sends one page reply on a pooled payload — the single copy
+/// Builds and sends one page reply on a recycled payload — the single copy
 /// of the page's 512 bytes between platter and wire.
 fn send_page_reply(
     ether: &mut Ether,
@@ -432,7 +432,7 @@ fn send_page_reply(
     data: &[u16; DATA_WORDS],
     send_failures: &mut u64,
 ) {
-    let mut payload = pool::words_vec();
+    let mut payload = ether.words();
     payload.extend_from_slice(data);
     let reply = Packet {
         ptype: PAGE_REPLY,

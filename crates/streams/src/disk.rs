@@ -141,13 +141,13 @@ impl<D: Disk> DiskByteStream<D> {
             resized: false,
             closed: false,
             consecutive_hint: leader.maybe_consecutive,
-            readahead: crate::pool::readahead_vec(),
+            readahead: Vec::new(),
             medium_epoch,
-            write_behind: crate::pool::parked_vec(),
+            write_behind: Vec::new(),
             write_behind_enabled: true,
-            drain_scratch: crate::pool::parked_vec(),
-            write_results: crate::pool::labels_vec(),
-            read_results: crate::pool::reads_vec(),
+            drain_scratch: Vec::new(),
+            write_results: Vec::new(),
+            read_results: Vec::new(),
             _disk: std::marker::PhantomData,
         })
     }
@@ -738,20 +738,6 @@ impl<D: Disk> Stream<FileSystem<D>> for DiskByteStream<D> {
         self.finish(fs)?;
         self.closed = true;
         Ok(())
-    }
-}
-
-impl<D: Disk> Drop for DiskByteStream<D> {
-    /// Hands the stream's working vectors back to the thread-local free
-    /// lists so a steady open/transfer/close cycle reuses their capacity.
-    /// Dropping an unclosed stream still abandons its parked pages — the
-    /// recycle clears contents; only the allocations survive.
-    fn drop(&mut self) {
-        crate::pool::recycle_readahead(std::mem::take(&mut self.readahead));
-        crate::pool::recycle_parked(std::mem::take(&mut self.write_behind));
-        crate::pool::recycle_parked(std::mem::take(&mut self.drain_scratch));
-        crate::pool::recycle_labels(std::mem::take(&mut self.write_results));
-        crate::pool::recycle_reads(std::mem::take(&mut self.read_results));
     }
 }
 

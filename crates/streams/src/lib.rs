@@ -27,7 +27,6 @@ pub mod disk;
 pub mod errors;
 pub mod machine_streams;
 pub mod memory;
-pub mod pool;
 
 pub use counting::CountingStream;
 pub use disk::{DiskByteStream, DiskWordStream};

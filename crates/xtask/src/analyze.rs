@@ -8,7 +8,7 @@
 //! | `raw-disk-op-transitive`     | no fs/streams helper *reaches* a raw sector op    |
 //! | `error-path-discard`         | disk/net error results are never silently dropped |
 //! | `hashmap-iteration`          | no hash-order iteration on deterministic paths    |
-//! | `thread-discipline`          | no host threads in production code                |
+//! | `thread-discipline`          | no host threads or thread-locals in production    |
 //! | `clock-discipline-transitive`| no helper *reaches* an undisciplined clock write  |
 //! | `protocol-totality`          | every defined opcode is dispatched and replied to |
 //!
@@ -395,7 +395,9 @@ fn is_for_loop_subject(before: &str) -> bool {
 /// `thread-discipline`: the simulation runs on one host thread. Concurrency
 /// (overlapped drive arms, a fleet of clients) is modelled in simulated
 /// time, so a host thread in production code of any crate is a
-/// nondeterminism hazard.
+/// nondeterminism hazard. A `thread_local!` is the same thread's hidden
+/// state shared by every drive, file system or ether on it: a buffer
+/// belongs to the object whose lifetime it follows.
 fn thread_discipline(files: &[SourceFile], out: &mut Vec<Violation>) {
     for file in files {
         for line in production_lines(file) {
@@ -413,6 +415,18 @@ fn thread_discipline(files: &[SourceFile], out: &mut Vec<Violation>) {
                         ),
                     );
                 }
+            }
+            if line.code.contains("thread_local!") {
+                push(
+                    out,
+                    "thread-discipline",
+                    file,
+                    line.number,
+                    "`thread_local!` in production code — state shared by \
+                     every object on the thread; give the buffer to the object \
+                     that uses it"
+                        .to_string(),
+                );
             }
         }
     }

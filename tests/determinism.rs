@@ -10,25 +10,25 @@
 use alto_bench::determinism::{array_random, array_scavenge, array_seq, server_round, triple_run};
 
 #[test]
-fn array_seq_is_bit_identical_across_runs_and_threading() {
+fn array_seq_is_bit_identical_across_run_repeat_and_audited_legs() {
     let r = triple_run("array_seq", |t| array_seq(2, t));
     assert!(r.identical(), "{}", r.describe());
 }
 
 #[test]
-fn array_random_is_bit_identical_across_runs_and_threading() {
+fn array_random_is_bit_identical_across_run_repeat_and_audited_legs() {
     let r = triple_run("array_random", |t| array_random(3, t));
     assert!(r.identical(), "{}", r.describe());
 }
 
 #[test]
-fn array_scavenge_is_bit_identical_across_runs_and_threading() {
+fn array_scavenge_is_bit_identical_across_run_repeat_and_audited_legs() {
     let r = triple_run("array_scavenge", |t| array_scavenge(2, t));
     assert!(r.identical(), "{}", r.describe());
 }
 
 #[test]
-fn server_round_is_bit_identical_across_runs_and_threading() {
+fn server_round_is_bit_identical_across_run_repeat_and_audited_legs() {
     let r = triple_run("server_round", |t| server_round(120, 2, t));
     assert!(r.identical(), "{}", r.describe());
 }

@@ -194,17 +194,23 @@ fn zone_over_junta_reclaimed_memory() {
 }
 
 /// Two drives, one file system (§2: "one or two moving-head disk
-/// drives"): the DualDrive adapter makes the standard file system span
-/// both packs, and files land on whichever drive has the space.
+/// drives"): a two-arm Range `DriveArray` makes the standard file system
+/// span both packs, and files land on whichever drive has the space.
 #[test]
 fn one_file_system_across_two_drives() {
-    use alto::disk::DualDrive;
+    use alto::disk::{DriveArray, Placement};
     let clock = SimClock::new();
-    let dual = DualDrive::with_formatted_packs(clock, Trace::new(), DiskModel::Diablo31);
+    let dual = DriveArray::with_arms(
+        2,
+        Placement::Range,
+        clock,
+        Trace::new(),
+        DiskModel::Diablo31,
+    );
     let mut fs = FileSystem::format(dual).unwrap();
     assert_eq!(fs.descriptor().bitmap.len(), 2 * 4872);
 
-    // Fill past one drive's capacity so files must spill onto unit 1.
+    // Fill past one drive's capacity so files must spill onto arm 1.
     let root = fs.root_dir();
     let mut names = Vec::new();
     for i in 0..40 {
@@ -213,9 +219,9 @@ fn one_file_system_across_two_drives() {
         fs.write_file(f, &vec![i as u8; 150 * 512]).unwrap();
         names.push(name);
     }
-    // Unit 1 definitely has live pages now.
-    let (_, used_1, _) = fs.disk().unit(1).pack().unwrap().label_census();
-    assert!(used_1 > 1000, "unit 1 only has {used_1} live pages");
+    // Arm 1 definitely has live pages now.
+    let (_, used_1, _) = fs.disk().arm(1).pack().unwrap().label_census();
+    assert!(used_1 > 1000, "arm 1 only has {used_1} live pages");
 
     // Everything reads back.
     for (i, name) in names.iter().enumerate() {

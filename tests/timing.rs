@@ -182,6 +182,84 @@ fn disk_timing_model_invariants() {
     }
 }
 
+/// E3 — the scheduler ablation: a 100-page sequential read through the
+/// rotational-position-aware scheduler is at least 3× faster than the same
+/// read with every sector op issued on its own (each separate command pays
+/// the issue overhead and misses the next slot — the pre-chaining Alto
+/// behaviour, §4).
+#[test]
+fn e3_band_scheduled_seq_read_at_least_3x_unscheduled() {
+    use alto::disk::UnscheduledDisk;
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let clock = fs.disk().clock().clone();
+    let f = consecutive_file(&mut fs, "big.dat", 100);
+    let t0 = clock.now();
+    fs.read_file(f).unwrap();
+    let scheduled = clock.now() - t0;
+    let disk = fs.unmount().unwrap();
+    let mut fs = FileSystem::mount(UnscheduledDisk::new(disk)).unwrap();
+    let t0 = clock.now();
+    fs.read_file(f).unwrap();
+    let unscheduled = clock.now() - t0;
+    assert!(
+        unscheduled.as_nanos() >= 3 * scheduled.as_nanos(),
+        "scheduled {scheduled} vs unscheduled {unscheduled}: under 3x"
+    );
+}
+
+/// E2 — the Scavenger's label sweep: one chained batch per cylinder is
+/// more than 3× faster than one separately issued `READ_ALL` per sector
+/// (the pre-scheduler path).
+#[test]
+fn e2_band_label_sweep_batched_per_cylinder_over_3x() {
+    use alto::disk::{BatchRequest, SectorBuf, SectorOp};
+    let mut disk = filled_fs(50, 7).unmount().unwrap();
+    let clock = disk.clock().clone();
+    let g = disk.geometry().unwrap();
+    let total = g.sector_count();
+    let per_cyl = (g.heads * g.sectors) as u32;
+    let mut live = [0u32; 2];
+    let t0 = clock.now();
+    let mut cyl_start = 0u32;
+    while cyl_start < total {
+        let end = (cyl_start + per_cyl).min(total);
+        let mut batch: Vec<BatchRequest> = (cyl_start..end)
+            .map(|i| {
+                BatchRequest::new(
+                    DiskAddress(i as u16),
+                    SectorOp::READ_ALL,
+                    SectorBuf::zeroed(),
+                )
+            })
+            .collect();
+        let results = disk.do_batch(&mut batch);
+        for (req, r) in batch.iter().zip(results) {
+            if r.is_ok() && req.buf.decoded_label().is_in_use() {
+                live[0] += 1;
+            }
+        }
+        cyl_start = end;
+    }
+    let batched = clock.now() - t0;
+    let t0 = clock.now();
+    for i in 0..total {
+        let mut buf = SectorBuf::zeroed();
+        if disk
+            .do_op(DiskAddress(i as u16), SectorOp::READ_ALL, &mut buf)
+            .is_ok()
+            && buf.decoded_label().is_in_use()
+        {
+            live[1] += 1;
+        }
+    }
+    let single = clock.now() - t0;
+    assert_eq!(live[0], live[1], "both sweeps must see the same pages");
+    assert!(
+        single.as_nanos() > 3 * batched.as_nanos(),
+        "batched {batched} vs one op at a time {single}: not over 3x"
+    );
+}
+
 /// A batched track read streams in about a revolution; the same sectors
 /// issued one command at a time pay a revolution *each* — the §4 chaining
 /// claim, end to end through the drive.

@@ -4,8 +4,9 @@
 //!
 //! 1. **Speed** — a long sequential overwrite through a stream runs at
 //!    least 5x faster with the delayed-write buffer than with the
-//!    flush-per-crossing ablation, and a batch spanning both units of a
-//!    [`DualDrive`] finishes in at most 0.6x the serialized time.
+//!    flush-per-crossing ablation, and a batch spanning both arms of a
+//!    two-drive [`DriveArray`] finishes in at most 0.6x the serialized
+//!    time.
 //! 2. **Safety** — a crash with dirty pages still parked loses only those
 //!    pages: everything the stream *drained* survives the Scavenger, the
 //!    parked pages simply show their old contents (delayed-write
@@ -13,7 +14,7 @@
 //! 3. **Coherence** — no reader, through the file system or a second
 //!    stream, ever observes stale data once a drain has happened.
 
-use alto::disk::{BatchRequest, DualDrive, SectorBuf, SectorOp};
+use alto::disk::{BatchRequest, DriveArray, Placement, SectorBuf, SectorOp};
 use alto::prelude::*;
 use alto_bench::{consecutive_file, fresh_fs};
 
@@ -59,11 +60,16 @@ fn sequential_write_behind_is_at_least_5x_faster() {
 #[test]
 fn dual_drive_overlap_is_at_most_0_6x_serial() {
     // The same spanning workload, serialized and overlapped: 24 sectors
-    // alternating between the two units, with seeks between them.
+    // alternating between the two drives, with seeks between them.
     let elapsed = |overlap: bool| {
         let clock = SimClock::new();
-        let mut dual =
-            DualDrive::with_formatted_packs(clock.clone(), Trace::new(), DiskModel::Diablo31);
+        let mut dual = DriveArray::with_arms(
+            2,
+            Placement::Range,
+            clock.clone(),
+            Trace::new(),
+            DiskModel::Diablo31,
+        );
         dual.set_overlap_enabled(overlap);
         let per_drive = (dual.geometry().unwrap().sector_count() / 2) as u16;
         let mut batch: Vec<BatchRequest> = (0..24u16)
