@@ -255,12 +255,45 @@ pub fn array_scavenge(k: usize, audit: bool) -> RunDigest {
     }
 }
 
+/// One server tick of a fleet round: how long it took and what it
+/// answered, from the server's counters.
+#[derive(Debug, Clone, Copy)]
+pub struct ServerTick {
+    /// Simulated time the tick took.
+    pub elapsed: SimTime,
+    /// Opens answered.
+    pub opens: u64,
+    /// Page replies sent.
+    pub served: u64,
+    /// Error replies sent.
+    pub errors: u64,
+}
+
+/// What a fleet round spent its simulated time on, for the timing pins.
+#[derive(Debug, Clone, Default)]
+pub struct FleetTiming {
+    /// From the fleet's first tick until its last client finished.
+    pub elapsed: SimTime,
+    /// Pages served.
+    pub served: u64,
+    /// Every server tick, in order.
+    pub ticks: Vec<ServerTick>,
+    /// Each arm's busy time over the round: its seek, rotational wait,
+    /// transfer and command set-up time.
+    pub arm_busy: Vec<SimTime>,
+}
+
 /// A full scripted-fleet server round: `clients` diskless clients open and
 /// page in files served by a `PageServer` over a K-arm Trident store. The
 /// data digest folds the fleet's order-independent served-word digest with
 /// the server's counters, so a lost, reordered, or double-served page
 /// diverges it.
 pub fn server_round(clients: usize, drives: usize, audit: bool) -> RunDigest {
+    server_round_timed(clients, drives, audit).0
+}
+
+/// [`server_round`], also reporting where the round's simulated time went.
+pub fn server_round_timed(clients: usize, drives: usize, audit: bool) -> (RunDigest, FleetTiming) {
     const FILES: usize = 16;
     const PAGES: u16 = 8;
     let clock = SimClock::new();
@@ -289,25 +322,49 @@ pub fn server_round(clients: usize, drives: usize, audit: bool) -> RunDigest {
     let cfg = ClientConfig::new(1, PAGE_SERVICE_SOCKET);
     let mut fleet =
         ClientFleet::new(&mut ether, cfg, clients, |i| names[i % FILES].clone()).expect("fleet");
+    let busy = |fs: &FileSystem<DriveArray>| -> Vec<SimTime> {
+        (0..drives)
+            .map(|k| fs.disk().arm(k).stats().busy_time())
+            .collect()
+    };
+    let busy0 = busy(&fs);
+    let mut timing = FleetTiming::default();
+    let start = clock.now();
     let mut service = FsPageService::new(&mut fs);
     while !fleet.all_done() {
         let a = fleet.tick(&mut ether).expect("fleet tick");
+        let (t0, before) = (clock.now(), server.stats);
         let b = server.tick(&mut ether, &mut service).expect("server tick");
+        let after = server.stats;
+        timing.ticks.push(ServerTick {
+            elapsed: clock.now() - t0,
+            opens: after.opens - before.opens,
+            served: after.served - before.served,
+            errors: after.errors - before.errors,
+        });
         if a + b == 0 {
             ether.idle_wait(SimTime::from_millis(1));
         }
     }
+    timing.elapsed = clock.now() - start;
+    timing.served = server.stats.served;
+    timing.arm_busy = busy(&fs)
+        .iter()
+        .zip(&busy0)
+        .map(|(&after, &before)| after - before)
+        .collect();
     let mut data = Fold::default();
     data.u64(fleet.digest());
     data.u64(server.stats.served);
     data.u64(server.stats.errors);
     data.u64(server.stats.send_failures);
     assert_audit_clean(fs.disk());
-    RunDigest {
+    let digest = RunDigest {
         trace: digest_trace(&trace),
         data: data.value(),
         sim_ns: clock.now().as_nanos(),
-    }
+    };
+    (digest, timing)
 }
 
 /// The standard suite: every `array_*` wall workload shape plus a fleet

@@ -303,7 +303,7 @@ fn pooled_steady_state_paths_allocate_nothing() {
         }
     }
     let client_host = 2u8; // first fleet host: its session (socket 0x100) is open
-    let mut drained: Vec<Packet> = Vec::new();
+    let mut drained: Vec<(SimTime, Packet)> = Vec::new();
     let mut round = |measured: bool| {
         let before = allocs();
         for page in 1..=16u16 {
@@ -328,7 +328,7 @@ fn pooled_steady_state_paths_allocate_nothing() {
             .drain_arrived(client_host, &mut drained)
             .expect("drain");
         let got = drained.len();
-        for pkt in drained.drain(..) {
+        for (_, pkt) in drained.drain(..) {
             ether.recycle(pkt.payload);
         }
         assert_eq!(got, 16, "not every page reply arrived");

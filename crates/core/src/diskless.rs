@@ -281,8 +281,11 @@ struct ServedFile {
 /// the hint cache behind them); batches are sorted by hinted disk address
 /// across *all* clients and issued through the zero-copy chained read
 /// path, so requests landing on neighbouring sectors ride one command
-/// chain regardless of which client asked. Pages whose hints went stale
-/// fall back to a leader-chain walk, relearning the hints as they go.
+/// chain regardless of which client asked. Requests that name the same
+/// page (a boot storm's clients paging one image) are read once, and the
+/// one lent sector is delivered to every requester. Pages whose hints went
+/// stale fall back to a leader-chain walk, relearning the hints as they
+/// go — one walk per distinct page, however many clients asked for it.
 #[derive(Debug)]
 pub struct FsPageService<'a, D: Disk> {
     fs: &'a mut FileSystem<D>,
@@ -291,12 +294,16 @@ pub struct FsPageService<'a, D: Disk> {
     // Scratch, reused across serve calls.
     order: Vec<usize>,
     names: Vec<PageName>,
-    sorted_names: Vec<PageName>,
+    /// The batch's distinct page names, in disk-address order.
+    distinct: Vec<PageName>,
+    /// `order[groups[k]..groups[k + 1]]` are the requesters of
+    /// `distinct[k]`.
+    groups: Vec<usize>,
     valid: Vec<PageRequest>,
     labels: Vec<Result<Label, FsError>>,
-    /// Pages served through the batched fast path.
+    /// Requests served through the batched fast path.
     pub fast_served: u64,
-    /// Pages that needed the chain-walk slow path (stale hints).
+    /// Requests that needed the chain-walk slow path (stale hints).
     pub slow_served: u64,
 }
 
@@ -309,12 +316,19 @@ impl<'a, D: Disk> FsPageService<'a, D> {
             by_name: BTreeMap::new(),
             order: Vec::new(),
             names: Vec::new(),
-            sorted_names: Vec::new(),
+            distinct: Vec::new(),
+            groups: Vec::new(),
             valid: Vec::new(),
             labels: Vec::new(),
             fast_served: 0,
             slow_served: 0,
         }
+    }
+
+    /// The file system being served (its disk's counters show what a
+    /// batch cost).
+    pub fn fs(&self) -> &FileSystem<D> {
+        self.fs
     }
 
     /// Reads page `page` by walking the leader chain from the front —
@@ -425,7 +439,9 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
 
         // Name every request at its hinted address, then sort the batch by
         // disk address across clients — the whole point: neighbouring
-        // sectors coalesce into one command chain no matter who asked.
+        // sectors coalesce into one command chain no matter who asked. The
+        // file and page break ties, so requests for the same page sit side
+        // by side (in arrival order) and each distinct page is read once.
         self.names.clear();
         self.names.extend(valid.iter().map(|r| {
             let open = &self.opens[r.open_id as usize];
@@ -434,44 +450,60 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
         self.order.clear();
         self.order.extend(0..valid.len());
         let names = &self.names;
-        self.order.sort_by_key(|&i| names[i].da.0);
-        self.sorted_names.clear();
-        self.sorted_names
-            .extend(self.order.iter().map(|&i| names[i]));
+        self.order
+            .sort_unstable_by_key(|&i| (names[i].da.0, names[i].fv, names[i].page, i));
+        self.distinct.clear();
+        self.groups.clear();
+        for (k, &i) in self.order.iter().enumerate() {
+            if self.distinct.last() != Some(&names[i]) {
+                self.distinct.push(names[i]);
+                self.groups.push(k);
+            }
+        }
+        self.groups.push(self.order.len());
 
         let mut labels = std::mem::take(&mut self.labels);
         let fast = &mut self.fast_served;
         let opens = &mut self.opens;
-        let order = &self.order;
+        let (order, groups) = (&self.order, &self.groups);
         alto_fs::page::read_pages_zero_copy(
             self.fs.disk_mut(),
-            &self.sorted_names,
+            &self.distinct,
             &mut labels,
             |k, label, view| {
-                let i = order[k];
-                let r = &valid[i];
-                *fast += 1;
+                let requesters = &order[groups[k]..groups[k + 1]];
                 // Learn the next page's address from the captured label.
-                let open = &mut opens[r.open_id as usize];
-                if (r.page as usize) < open.hints.len() {
-                    open.hints[r.page as usize] = label.next;
+                let first = &valid[requesters[0]];
+                let open = &mut opens[first.open_id as usize];
+                if (first.page as usize) < open.hints.len() {
+                    open.hints[first.page as usize] = label.next;
                 }
-                deliver(r.tag, view.data());
+                for &i in requesters {
+                    *fast += 1;
+                    deliver(valid[i].tag, view.data());
+                }
             },
         );
-        // Stale hints (or real faults): walk the chain from the leader.
+        // Stale hints (or real faults): walk the chain from the leader,
+        // once per distinct page.
         for (k, res) in labels.iter().enumerate() {
             if res.is_ok() {
                 continue;
             }
-            let i = self.order[k];
-            let r = valid[i];
-            match self.chain_walk(r.open_id, r.page) {
+            let requesters = self.groups[k]..self.groups[k + 1];
+            let first = valid[self.order[requesters.start]];
+            match self.chain_walk(first.open_id, first.page) {
                 Ok(data) => {
-                    self.slow_served += 1;
-                    deliver(r.tag, &data);
+                    for j in requesters {
+                        self.slow_served += 1;
+                        deliver(valid[self.order[j]].tag, &data);
+                    }
                 }
-                Err(status) => failed.push((r.tag, status)),
+                Err(status) => {
+                    for j in requesters {
+                        failed.push((valid[self.order[j]].tag, status));
+                    }
+                }
             }
         }
         self.labels = labels;

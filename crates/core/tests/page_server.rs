@@ -6,7 +6,7 @@
 //! must serve byte-for-byte what the lossless run serves, recovered
 //! entirely by client retransmission against the idempotent server.
 
-use alto_disk::{DiskDrive, DiskModel};
+use alto_disk::{Disk, DiskDrive, DiskModel};
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::{dir, FileSystem, PageName};
 use alto_net::server::{
@@ -33,6 +33,8 @@ struct RunResult {
     batches: u64,
     elapsed: SimTime,
     p99_samples: usize,
+    /// Data sectors the drive read while the fleet ran.
+    sectors_read: u64,
 }
 
 /// Builds a disk with `files` files of `pages` pages each, then runs
@@ -69,6 +71,7 @@ fn run(
     let mut service = FsPageService::new(&mut fs);
 
     let start = clock.now();
+    let read0 = service.fs().disk().io_stats().sectors_read;
     let mut spins = 0u64;
     while !fleet.all_done() {
         let a = fleet.tick(&mut ether).expect("fleet tick");
@@ -90,7 +93,18 @@ fn run(
         batches: server.stats.batches,
         elapsed: clock.now().saturating_sub(start),
         p99_samples: fleet.samples.len(),
+        sectors_read: service.fs().disk().io_stats().sectors_read - read0,
     }
+}
+
+/// Page `page` (1-based) of `bytes` as the server sends it: the file's
+/// bytes packed big-endian, zero-padded to a full sector.
+fn page_words(bytes: &[u8], page: u16) -> Vec<u16> {
+    let lo = (page as usize - 1) * PAGE_BYTES;
+    let hi = (lo + PAGE_BYTES).min(bytes.len());
+    let mut words = alto_fs::file::bytes_to_words(&bytes[lo..hi]);
+    words.resize(PAGE_BYTES / 2, 0);
+    words
 }
 
 #[test]
@@ -104,11 +118,7 @@ fn a_single_client_receives_exact_file_contents() {
     let bytes = file_bytes(0, 3);
     let mut expected = 0u64;
     for page in 1..=3u64 {
-        let lo = (page as usize - 1) * PAGE_BYTES;
-        let hi = (lo + PAGE_BYTES).min(bytes.len());
-        let mut words = alto_fs::file::bytes_to_words(&bytes[lo..hi]);
-        words.resize(PAGE_BYTES / 2, 0);
-        for (i, &w) in words.iter().enumerate() {
+        for (i, &w) in page_words(&bytes, page as u16).iter().enumerate() {
             expected = expected.wrapping_add((page << 32) ^ ((i as u64) << 16) ^ w as u64);
         }
     }
@@ -142,8 +152,17 @@ fn naive_ablation_serves_identical_bytes_but_slower() {
         "ablation changed served bytes"
     );
     assert_eq!(naive.served_words, batched.served_words);
-    // One store batch per request in the ablation.
+    // One store batch per request in the ablation, so one read each; the
+    // batched server reads each page its 16 clients share far fewer times
+    // (both also read a label on every open).
     assert_eq!(naive.batches, naive.served);
+    assert!(naive.sectors_read >= naive.served);
+    assert!(
+        batched.sectors_read * 2 < naive.sectors_read,
+        "batched read {} sectors, naive {}",
+        batched.sectors_read,
+        naive.sectors_read
+    );
     // And the whole point: batching is strictly faster in simulated time.
     assert!(
         batched.elapsed < naive.elapsed,
@@ -200,6 +219,128 @@ fn unknown_files_fail_the_client_cleanly() {
     }
     assert_eq!(fleet.client(0).phase(), ClientPhase::Failed);
     assert_eq!(server.stats.errors, 1);
+}
+
+/// A formatted Diablo31 holding `files` files of `pages` pages, named
+/// `dup{f}.dat`, and their contents.
+fn shared_fs(files: usize, pages: usize) -> (FileSystem<DiskDrive>, Vec<Vec<u8>>) {
+    let (mut fs, _) = small_fs("dup0.dat", pages);
+    let root = fs.root_dir();
+    for f in 1..files {
+        let file = dir::create_named_file(&mut fs, root, &format!("dup{f}.dat")).expect("create");
+        fs.write_file(file, &file_bytes(f, pages)).expect("write");
+    }
+    let contents = (0..files)
+        .map(|f| {
+            let file = dir::lookup(&mut fs, root, &format!("dup{f}.dat"))
+                .expect("lookup")
+                .expect("exists");
+            fs.read_file(file).expect("read back")
+        })
+        .collect();
+    (fs, contents)
+}
+
+#[test]
+fn duplicate_requests_read_each_distinct_page_once() {
+    const FILES: usize = 3;
+    const PAGES: u16 = 4;
+    const CLIENTS: usize = 10;
+    let (mut fs, contents) = shared_fs(FILES, PAGES as usize);
+    let mut service = FsPageService::new(&mut fs);
+    let infos: Vec<_> = (0..FILES)
+        .map(|f| service.open(&format!("dup{f}.dat")).expect("open"))
+        .collect();
+    // Ten clients each ask for every page of every file, interleaved as
+    // they would arrive: one tick, 120 requests, 12 distinct pages.
+    let mut want = Vec::new();
+    for _ in 0..CLIENTS {
+        for (f, info) in infos.iter().enumerate() {
+            for page in 1..=PAGES {
+                want.push((f, page, info.open_id));
+            }
+        }
+    }
+    let reqs: Vec<PageRequest> = want
+        .iter()
+        .enumerate()
+        .map(|(tag, &(_, page, open_id))| PageRequest {
+            open_id,
+            page,
+            tag: tag as u32,
+        })
+        .collect();
+    let read0 = service.fs().disk().io_stats().sectors_read;
+    let mut got: Vec<Option<Vec<u16>>> = vec![None; reqs.len()];
+    let mut failed = Vec::new();
+    service.serve(&reqs, &mut failed, |tag, data| {
+        assert!(got[tag as usize].is_none(), "tag {tag} delivered twice");
+        got[tag as usize] = Some(data.to_vec());
+    });
+    assert!(failed.is_empty(), "{failed:?}");
+    let read = service.fs().disk().io_stats().sectors_read - read0;
+    assert_eq!(
+        read,
+        FILES as u64 * u64::from(PAGES),
+        "one read per distinct page"
+    );
+    assert_eq!(service.fast_served, reqs.len() as u64);
+    assert_eq!(service.slow_served, 0);
+    // Every requester got the page's bytes as `read_file` sees them.
+    for (tag, &(f, page, _)) in want.iter().enumerate() {
+        assert_eq!(
+            got[tag].as_deref(),
+            Some(&page_words(&contents[f], page)[..]),
+            "client of file {f} page {page}"
+        );
+    }
+}
+
+#[test]
+fn a_stale_hint_shared_by_duplicates_costs_one_chain_walk() {
+    // `frag.dat` grows from 2 to 4 pages after `wall.dat` took the sectors
+    // behind it, so its third page is not where the consecutive guess puts
+    // it: the hint is stale, the label check fails, and only a walk from
+    // the leader finds the page.
+    let serve = |copies: u32| -> (u64, u64, u64) {
+        let (mut fs, _) = small_fs("frag.dat", 2);
+        let root = fs.root_dir();
+        let wall = dir::create_named_file(&mut fs, root, "wall.dat").expect("create");
+        fs.write_file(wall, &file_bytes(1, 2)).expect("write");
+        let frag = dir::lookup(&mut fs, root, "frag.dat")
+            .expect("lookup")
+            .expect("exists");
+        let bytes = file_bytes(2, 4);
+        fs.write_file(frag, &bytes).expect("grow");
+        let mut service = FsPageService::new(&mut fs);
+        let info = service.open("frag.dat").expect("open");
+        let reqs: Vec<PageRequest> = (0..copies)
+            .map(|tag| PageRequest {
+                open_id: info.open_id,
+                page: 3,
+                tag,
+            })
+            .collect();
+        let read0 = service.fs().disk().io_stats().sectors_read;
+        let mut delivered = 0u32;
+        let mut failed = Vec::new();
+        service.serve(&reqs, &mut failed, |_, data| {
+            delivered += 1;
+            assert_eq!(&data[..], &page_words(&bytes, 3)[..]);
+        });
+        assert!(failed.is_empty(), "{failed:?}");
+        assert_eq!(delivered, copies);
+        let read = service.fs().disk().io_stats().sectors_read - read0;
+        (read, service.fast_served, service.slow_served)
+    };
+    let (alone, fast, slow) = serve(1);
+    assert_eq!((fast, slow), (0, 1), "the hint was not stale");
+    let (shared, fast, slow) = serve(5);
+    assert_eq!((fast, slow), (0, 5));
+    assert_eq!(
+        shared, alone,
+        "five requesters cost more than one chain walk"
+    );
 }
 
 /// A formatted Diablo31 with one `pages`-page file named `name`.

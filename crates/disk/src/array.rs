@@ -23,10 +23,18 @@
 //!
 //! One routine routes, splits and overlaps both the buffered and the
 //! zero-copy batch forms. The arms' shares run one after another on the
-//! caller's thread, each from the batch's start instant on the shared
-//! clock, and the clock then moves to the latest finish.
-//! `set_overlap_enabled(false)` serializes the arms on the shared timeline
-//! (the ablation), and a one-arm array degenerates to a plain pass-through.
+//! caller's thread, each on its own local timeline from the batch's start
+//! instant, and none of them writes the shared clock. The zero-copy form
+//! records every sector an arm lends — its instant, arm, request index and
+//! local address — and once all arms are done visits them in time order,
+//! moving the shared clock forward to each one's instant and re-borrowing
+//! the sector from its arm's pack. That re-borrow is exact: a `READ_ALL`
+//! batch changes no sector, and every read fault is a transient error that
+//! lends nothing. The clock then moves forward to the latest finish, or
+//! stays where the visitors left it if that is later; nothing ever moves
+//! it back. `set_overlap_enabled(false)` queues each arm's share behind
+//! the previous one's (the ablation), and a one-arm array degenerates to
+//! a plain pass-through.
 
 use alto_sim::{SimClock, SimTime, Trace};
 
@@ -71,6 +79,21 @@ pub struct DriveArray {
     split: Vec<(Vec<usize>, Vec<DiskAddress>)>,
     /// One arm's translated share of a buffered batch, likewise recycled.
     share: Vec<BatchRequest>,
+    /// The sectors a zero-copy batch's arms lent, likewise recycled.
+    lends: Vec<Lent>,
+}
+
+/// One sector an arm lent during a zero-copy batch, kept until every arm
+/// has run so the visits can go in time order.
+#[derive(Debug, Clone, Copy)]
+struct Lent {
+    /// The instant the sector left the platter, on its arm's timeline.
+    at: SimTime,
+    arm: usize,
+    /// The request's index in the batch.
+    index: usize,
+    /// The sector's address on its arm.
+    local: DiskAddress,
 }
 
 /// How a batch form hands an arm its share: the one thing `do_batch` and
@@ -80,13 +103,21 @@ trait Form {
     fn da(&self, i: usize) -> DiskAddress;
 
     /// Serves requests `idxs` (indices into the batch) at the arm-local
-    /// addresses `locals` on `arm`, one result per request.
+    /// addresses `locals` on arm number `arm`, on that arm's local
+    /// timeline from `start`: one result per request, and the instant the
+    /// share ends. Writes no shared clock.
     fn serve(
         &mut self,
-        arm: &mut DiskDrive,
+        arm: usize,
+        drive: &mut DiskDrive,
+        start: SimTime,
         idxs: &[usize],
         locals: &[DiskAddress],
-    ) -> Vec<Result<(), DiskError>>;
+    ) -> (Vec<Result<(), DiskError>>, SimTime);
+
+    /// Runs once every arm has served its share, before the shared clock
+    /// moves to the batch's end.
+    fn finish(&mut self, _arms: &[DiskDrive], _clock: &SimClock) {}
 }
 
 /// Buffered requests, translated to each arm's physical view on the way in
@@ -104,11 +135,13 @@ impl Form for Buffered<'_> {
 
     fn serve(
         &mut self,
-        arm: &mut DiskDrive,
+        _: usize,
+        drive: &mut DiskDrive,
+        start: SimTime,
         idxs: &[usize],
         locals: &[DiskAddress],
-    ) -> Vec<Result<(), DiskError>> {
-        let packs = self.pack0.zip(arm.pack_number().ok());
+    ) -> (Vec<Result<(), DiskError>>, SimTime) {
+        let packs = self.pack0.zip(drive.pack_number().ok());
         self.share.clear();
         for (&i, &local) in idxs.iter().zip(locals) {
             let req = &mut self.batch[i];
@@ -116,37 +149,61 @@ impl Form for Buffered<'_> {
             localize(&mut buf, packs, req.da, local);
             self.share.push(BatchRequest::new(local, req.op, buf));
         }
-        let results = arm.do_batch(self.share);
+        let (results, end) = drive.batch_from(start, self.share);
         for ((&i, done), result) in idxs.iter().zip(self.share.iter_mut()).zip(&results) {
             let req = &mut self.batch[i];
             globalize(&mut done.buf, result, done.da, req.da);
             req.buf = std::mem::take(&mut done.buf);
         }
-        results
+        (results, end)
     }
 }
 
 /// Zero-copy reads: each arm lends its own platter sectors, so a view's
 /// header carries the arm-local address — callers verify pages by *label*
 /// (fid, page number), which is position-independent.
-struct Lent<'d, F> {
+struct Lending<'d, F> {
     das: &'d [DiskAddress],
     visit: F,
+    lends: &'d mut Vec<Lent>,
 }
 
-impl<F: FnMut(usize, SectorView<'_>)> Form for Lent<'_, F> {
+impl<F: FnMut(usize, SectorView<'_>)> Form for Lending<'_, F> {
     fn da(&self, i: usize) -> DiskAddress {
         self.das[i]
     }
 
     fn serve(
         &mut self,
-        arm: &mut DiskDrive,
+        arm: usize,
+        drive: &mut DiskDrive,
+        start: SimTime,
         idxs: &[usize],
         locals: &[DiskAddress],
-    ) -> Vec<Result<(), DiskError>> {
-        let visit = &mut self.visit;
-        arm.do_batch_read(locals, |j, view| visit(idxs[j], view))
+    ) -> (Vec<Result<(), DiskError>>, SimTime) {
+        let lends = &mut *self.lends;
+        drive.read_from(start, locals, |j, view| {
+            lends.push(Lent {
+                at: view.at(),
+                arm,
+                index: idxs[j],
+                local: locals[j],
+            });
+        })
+    }
+
+    // Within one arm the instants strictly increase (every transfer takes
+    // a sector time), so (instant, arm) orders the lends totally.
+    fn finish(&mut self, arms: &[DiskDrive], clock: &SimClock) {
+        self.lends.sort_unstable_by_key(|l| (l.at, l.arm));
+        for l in self.lends.iter() {
+            let sector = arms[l.arm]
+                .pack()
+                .and_then(|p| p.sector(l.local))
+                .expect("a lent sector is on its arm's pack");
+            clock.advance_to(l.at);
+            (self.visit)(l.index, SectorView::new(sector).stamped(l.at));
+        }
     }
 }
 
@@ -239,6 +296,7 @@ impl DriveArray {
             overlap_saved: SimTime::ZERO,
             split: (0..count).map(|_| Default::default()).collect(),
             share: Vec::new(),
+            lends: Vec::new(),
         })
     }
 
@@ -330,9 +388,10 @@ impl DriveArray {
     /// (stable within each arm, so per-arm chaining still sees sorted runs)
     /// and results land back in the batch's original order. Every arm has
     /// its own head assembly and data path, so a batch that spans arms runs
-    /// each share from the same start instant and the clock ends at the
-    /// *last* finish (elapsed = max over the arms, not the sum). `what`
-    /// names the requests in the `disk.io.overlap` event.
+    /// each share on a local timeline from the same start instant and the
+    /// clock ends at the *last* finish (elapsed = max over the arms, not
+    /// the sum), or later if the form's visitors ran past it. `what` names
+    /// the requests in the `disk.io.overlap` event.
     fn spread<F: Form>(
         &mut self,
         n: usize,
@@ -363,15 +422,14 @@ impl DriveArray {
         let clock = self.arms[0].clock().clone();
         let t0 = clock.now();
         let (mut longest, mut total) = (SimTime::ZERO, SimTime::ZERO);
-        for (drive, (idxs, locals)) in self.arms.iter_mut().zip(&split) {
+        for (arm, (drive, (idxs, locals))) in self.arms.iter_mut().zip(&split).enumerate() {
             if idxs.is_empty() {
                 continue;
             }
-            if overlapped {
-                clock.set(t0);
-            }
-            let sub = form.serve(drive, idxs, locals);
-            let elapsed = clock.now() - t0;
+            // Overlapped arms all start at t0; serialized ones queue up.
+            let start = if overlapped { t0 } else { t0 + total };
+            let (sub, end) = form.serve(arm, drive, start, idxs, locals);
+            let elapsed = end - start;
             longest = longest.max(elapsed);
             total += elapsed;
             for (&i, &result) in idxs.iter().zip(sub.iter()) {
@@ -379,9 +437,10 @@ impl DriveArray {
             }
             pool::recycle_results(sub);
         }
+        form.finish(&self.arms, &clock);
+        clock.advance_to(t0 + if overlapped { longest } else { total });
         if overlapped {
             let saved = total - longest;
-            clock.set(t0 + longest);
             self.overlap_batches += 1;
             self.overlap_saved += saved;
             self.arms[0]
@@ -449,11 +508,23 @@ impl Disk for DriveArray {
         result
     }
 
+    /// Each arm's share runs on its own timeline from the batch's start;
+    /// the sectors they lent are then visited in time order, each with the
+    /// shared clock moved forward to its instant.
     fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
     where
         F: FnMut(usize, SectorView<'_>),
     {
-        self.spread(das.len(), &mut Lent { das, visit }, "read ")
+        let mut lends = std::mem::take(&mut self.lends);
+        lends.clear();
+        let mut form = Lending {
+            das,
+            visit,
+            lends: &mut lends,
+        };
+        let results = self.spread(das.len(), &mut form, "read ");
+        self.lends = lends;
+        results
     }
 
     fn do_batch(&mut self, batch: &mut [BatchRequest]) -> Vec<Result<(), DiskError>> {
@@ -844,6 +915,47 @@ mod tests {
         );
         assert!(singles[3] < singles[0], "the refused arm is the short one");
         assert_eq!(all, longest);
+    }
+
+    #[test]
+    fn zero_copy_reads_visit_the_arms_lends_in_time_order() {
+        // Hash placement puts even addresses on arm 0 and odd ones on arm
+        // 1, so the two arms' lends interleave in time.
+        let das: Vec<DiskAddress> = (0..48).map(DiskAddress).collect();
+        let mut quiet = array(2, Placement::Hash);
+        let t0 = quiet.clock().now();
+        let mut lends = Vec::new();
+        quiet.do_batch_read(&das, |i, v| lends.push((i, v.at())));
+        let disk_end = quiet.clock().now();
+        assert_eq!(lends.len(), das.len());
+        assert!(lends.windows(2).all(|w| w[0].1 <= w[1].1), "{lends:?}");
+        assert!(lends.iter().all(|&(_, at)| at > t0));
+        assert!(
+            lends
+                .windows(2)
+                .any(|w| w[0].0 % 2 != w[1].0 % 2 && w[1].1 < disk_end),
+            "the arms' lends should interleave"
+        );
+        assert_eq!(lends.last().map(|&(_, at)| at), Some(disk_end));
+
+        // Visits that spend a sector time each on the shared clock queue
+        // behind each other; each still starts no earlier than its sector
+        // left the platter, and the batch ends when the last one does.
+        let mut busy = array(2, Placement::Hash);
+        let spend = busy.arm(0).timing().unwrap().sector_time;
+        let clock = busy.clock().clone();
+        let mut free_at = t0;
+        let mut k = 0;
+        busy.do_batch_read(&das, |i, v| {
+            assert_eq!((i, v.at()), lends[k]);
+            assert_eq!(clock.now(), v.at().max(free_at));
+            clock.advance(spend);
+            free_at = clock.now();
+            k += 1;
+        });
+        assert!(free_at > disk_end, "the visits should outlast the arms");
+        assert_eq!(busy.clock().now(), free_at);
+        assert_eq!(busy.io_stats(), quiet.io_stats());
     }
 
     #[test]

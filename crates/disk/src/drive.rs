@@ -14,6 +14,15 @@
 //! write source checked in place. With the §3.3 auditor or a fault armed,
 //! every request is staged through a buffer inside the same step.
 //!
+//! A chain runs on a local timeline: the drive keeps its instants in the
+//! chain's head and writes no shared clock while it runs. The `Disk`
+//! methods start it at the shared clock's `now`, move the clock forward to
+//! each lent sector's instant ([`SectorView::at`]) just before its visitor
+//! runs, and forward to the batch's end when it returns. Whatever a visitor
+//! spends on the shared clock (a reply on the wire) overlaps the platter
+//! and is never erased; a [`crate::DriveArray`] runs its arms' shares
+//! through the same local entry and merges their lends in time order.
+//!
 //! [`Disk`] is the *abstract disk object* of §2/§5.2: the file system is
 //! generic over it, so "a program using a large non-standard disk" can
 //! provide its own implementation and still use the standard disk-stream
@@ -76,10 +85,14 @@ pub trait Disk {
     /// 532 bytes into a caller-owned buffer. `visit` runs at most once per
     /// request (never for a failed one) with the request's index in `das`;
     /// the visit order is implementation-defined (service order on a real
-    /// drive, index order for the staged default).
+    /// drive, time order across a drive array's arms, index order for the
+    /// staged default). Each visit runs with the shared clock at the view's
+    /// [`SectorView::at`]: time the visitor spends there overlaps the rest
+    /// of the batch, and the batch ends at the later of the two.
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
-    /// results, timing, stats and traces, just with the 512-byte copy in.
+    /// results, timing, stats and traces, just with the 512-byte copy in —
+    /// and lends every view after the batch, stamped with its end.
     /// [`DiskDrive`] overrides it with a genuinely zero-copy chain and
     /// [`crate::DriveArray`] splits it across arms on overlapped
     /// sub-timelines.
@@ -94,9 +107,10 @@ pub trait Disk {
                 .map(|&da| BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed())),
         );
         let results = self.do_batch(&mut batch);
+        let at = self.clock().now();
         for (i, (req, res)) in batch.iter().zip(results.iter()).enumerate() {
             if res.is_ok() {
-                visit(i, SectorView::of_buf(&req.buf));
+                visit(i, SectorView::of_buf(&req.buf).stamped(at));
             }
         }
         pool::recycle_batch(batch);
@@ -108,8 +122,8 @@ pub trait Disk {
     /// supplies request `i`'s check patterns and a borrow of its data words,
     /// and `visit` is lent the serviced sector (post-write, so the label a
     /// passed check captured is exactly what the view shows) at most once
-    /// per request, never for a failed one. The write-side twin of
-    /// [`Disk::do_batch_read`].
+    /// per request, never for a failed one, with the shared clock at the
+    /// view's instant. The write-side twin of [`Disk::do_batch_read`].
     ///
     /// The default stages through [`Disk::do_batch`] — bit-identical
     /// results, timing, stats and traces, just with the 256-word copy in —
@@ -137,9 +151,10 @@ pub trait Disk {
             batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
         }
         let results = self.do_batch(&mut batch);
+        let at = self.clock().now();
         for (i, (req, res)) in batch.iter().zip(results.iter()).enumerate() {
             if res.is_ok() {
-                visit(i, SectorView::of_buf(&req.buf));
+                visit(i, SectorView::of_buf(&req.buf).stamped(at));
             }
         }
         pool::recycle_batch(batch);
@@ -390,16 +405,19 @@ trait Meet {
     fn op(&self, i: usize) -> SectorOp;
 
     /// Runs `serve` on request `i` staged in a memory buffer (its own, or
-    /// one loaded from its source), then lends that buffer to the visitor
-    /// if `serve` succeeded.
+    /// one loaded from its source), then lends that buffer, stamped `at`,
+    /// to the visitor if `serve` succeeded.
     fn staged(
         &mut self,
         i: usize,
+        at: SimTime,
         serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
     ) -> Result<(), DiskError>;
 
     /// Performs request `i` directly on its platter sector. Called only
-    /// with no auditor or fault armed and sound media; the default stages.
+    /// with no auditor or fault armed and sound media; the default stages
+    /// (the forms that keep it own their buffers and lend nothing, so the
+    /// stamp is moot).
     fn in_place(
         &mut self,
         i: usize,
@@ -407,10 +425,11 @@ trait Meet {
         sector: &mut Sector,
     ) -> Result<(), DiskError> {
         let op = self.op(i);
-        self.staged(i, |buf| apply(op, da, sector, buf))
+        self.staged(i, SimTime::ZERO, |buf| apply(op, da, sector, buf))
     }
 
-    /// Lends request `i`'s sector, just served in place, to the visitor.
+    /// Lends request `i`'s sector, just served in place and stamped with
+    /// the end of its transfer, to the visitor.
     fn lend(&mut self, _i: usize, _view: SectorView<'_>) {}
 }
 
@@ -427,6 +446,7 @@ impl Meet for [BatchRequest] {
     fn staged(
         &mut self,
         i: usize,
+        _: SimTime,
         serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
         serve(&mut self[i].buf)
@@ -452,6 +472,7 @@ impl Meet for One<'_> {
     fn staged(
         &mut self,
         _: usize,
+        _: SimTime,
         serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
         serve(self.buf)
@@ -478,11 +499,12 @@ impl<F: FnMut(usize, SectorView<'_>)> Meet for Lend<'_, F> {
     fn staged(
         &mut self,
         i: usize,
+        at: SimTime,
         serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
         let result = serve(&mut self.buf);
         if result.is_ok() {
-            (self.visit)(i, SectorView::of_buf(&self.buf));
+            (self.visit)(i, SectorView::of_buf(&self.buf).stamped(at));
         }
         result
     }
@@ -524,6 +546,7 @@ where
     fn staged(
         &mut self,
         i: usize,
+        at: SimTime,
         serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
         let ws = (self.source)(i);
@@ -531,7 +554,7 @@ where
         buf.header = ws.header;
         buf.label = ws.label;
         buf.data = *ws.data;
-        self.lend.staged(i, serve)
+        self.lend.staged(i, at, serve)
     }
 
     fn in_place(
@@ -624,8 +647,9 @@ impl Head<'_> {
         // Unrecoverable media damage surfaces when the value part is read.
         let damaged =
             matches!(op.value, Action::Read | Action::Check) && self.loaded.pack.is_damaged(da);
+        let at = self.now;
         let result = if damaged || self.staged {
-            meet.staged(i, |buf| self.buffered(da, op, damaged, buf))
+            meet.staged(i, at, |buf| self.buffered(da, op, damaged, buf))
         } else {
             let sector = self
                 .loaded
@@ -635,7 +659,7 @@ impl Head<'_> {
             let result = meet.in_place(i, da, sector);
             note(self.acc, self.trace, self.now, da, op, &result);
             if result.is_ok() {
-                meet.lend(i, SectorView::new(sector));
+                meet.lend(i, SectorView::new(sector).stamped(at));
             }
             result
         };
@@ -870,20 +894,22 @@ impl DiskDrive {
     }
 
     /// Charges one command set-up (issued once per [`Disk::do_op`] call and
-    /// once per batch — which is the entire point of batching, §4).
-    fn charge_command(&mut self) {
+    /// once per batch — which is the entire point of batching, §4) on the
+    /// local timeline at `now`, and returns the instant it ends.
+    fn charge_command(&mut self, now: SimTime) -> SimTime {
         let overhead = self
             .pack
             .as_ref()
             .expect("prechecked: pack is loaded")
             .timing
             .command_overhead;
-        self.clock.advance(overhead);
         self.stats.command_time += overhead;
+        now + overhead
     }
 
-    /// Splits the drive into a [`Head`] starting at the shared clock's time.
-    fn head<'d>(&'d mut self, acc: &'d mut DriveStats) -> Head<'d> {
+    /// Splits the drive into a [`Head`] whose local timeline starts at
+    /// `now`.
+    fn head<'d>(&'d mut self, now: SimTime, acc: &'d mut DriveStats) -> Head<'d> {
         Head {
             loaded: self.pack.as_mut().expect("prechecked: pack is loaded"),
             trace: &self.trace,
@@ -891,7 +917,7 @@ impl DiskDrive {
             injector: &mut self.injector,
             audit: self.audit.as_ref(),
             epoch: self.stats.write_ops,
-            now: self.clock.now(),
+            now,
             acc,
         }
     }
@@ -906,11 +932,17 @@ impl DiskDrive {
     /// failing request keeps its slot; the unserved remainder is replanned
     /// from the arm's new position under a fresh command set-up.
     ///
-    /// Each pass keeps time in the [`Head`] and stores it to the shared
-    /// clock once at its end, so whatever a visitor does to the shared
-    /// clock mid-pass is overwritten — identically with the auditor armed
-    /// or not.
-    fn chain<M: Meet + ?Sized>(&mut self, n: usize, meet: &mut M) -> Vec<Result<(), DiskError>> {
+    /// The batch runs on a local timeline from `start`: every pass keeps
+    /// time in its [`Head`], no shared clock is written, and the instant
+    /// the batch ends is returned with the results. Each lent view carries
+    /// its own instant, so the caller decides when the shared clock gets
+    /// there — identically with the auditor armed or not.
+    fn chain<M: Meet + ?Sized>(
+        &mut self,
+        start: SimTime,
+        n: usize,
+        meet: &mut M,
+    ) -> (Vec<Result<(), DiskError>>, SimTime) {
         // The result vector and all planning storage come out of per-thread
         // free lists / the drive's own scratch, so a steady-state batch
         // costs no heap allocation (see `crate::pool`).
@@ -927,25 +959,24 @@ impl DiskDrive {
         }
         if scratch.pending.is_empty() {
             self.scratch = scratch;
-            return results;
+            return (results, start);
         }
         let loaded = self.pack.as_ref().expect("prechecked: pack is loaded");
         let (geometry, timing) = (loaded.pack.geometry(), loaded.timing);
 
-        self.charge_command();
+        let mut now = self.charge_command(start);
         let pending = scratch.pending.len();
         self.stats.batches += 1;
         self.stats.batched_ops += pending as u64;
-        self.trace.record_with(self.clock.now(), "disk.batch", || {
-            format!("{pending} requests")
-        });
+        self.trace
+            .record_with(now, "disk.batch", || format!("{pending} requests"));
         let mut acc = DriveStats::default();
         scratch.remaining.clear();
         scratch.remaining.extend_from_slice(&scratch.pending);
         let mut first_pass = true;
         while !scratch.remaining.is_empty() {
             if !first_pass {
-                self.charge_command();
+                now = self.charge_command(now);
             }
             first_pass = false;
             scratch.das.clear();
@@ -956,13 +987,13 @@ impl DiskDrive {
             sched::plan_into(
                 timing,
                 self.current_cylinder(),
-                self.clock.now(),
+                now,
                 &scratch.chs,
                 &mut scratch.plan,
                 &mut scratch.order,
                 &mut scratch.waits,
             );
-            let mut head = self.head(&mut acc);
+            let mut head = self.head(now, &mut acc);
             let mut followers = 0u64;
             let mut halted_at = None;
             for (k, (&j, &wait)) in scratch.order.iter().zip(&scratch.waits).enumerate() {
@@ -982,8 +1013,7 @@ impl DiskDrive {
                 }
             }
             head.close_run(followers);
-            let now = head.now;
-            self.clock.set(now);
+            now = head.now;
             match halted_at {
                 // Requests the halted chain never reached go around again.
                 Some(k) => {
@@ -998,12 +1028,42 @@ impl DiskDrive {
         }
         let (read, written) = (acc.sectors_read, acc.sectors_written);
         self.stats = self.stats.merged(&acc);
-        self.trace
-            .record_with(self.clock.now(), "disk.io.batch", || {
-                format!("{pending} serviced ({read} read, {written} written)")
-            });
+        self.trace.record_with(now, "disk.io.batch", || {
+            format!("{pending} serviced ({read} read, {written} written)")
+        });
         self.scratch = scratch;
-        results
+        (results, now)
+    }
+
+    /// [`Disk::do_batch`] on the local timeline from `start`: writes no
+    /// shared clock and returns the results and the batch's end.
+    pub(crate) fn batch_from(
+        &mut self,
+        start: SimTime,
+        batch: &mut [BatchRequest],
+    ) -> (Vec<Result<(), DiskError>>, SimTime) {
+        self.chain(start, batch.len(), batch)
+    }
+
+    /// [`Disk::do_batch_read`] on the local timeline from `start`: lends
+    /// each sector stamped with its instant, moves no shared clock (not
+    /// even to a view's instant — that is the caller's business) and
+    /// returns the results and the batch's end.
+    pub(crate) fn read_from<F>(
+        &mut self,
+        start: SimTime,
+        das: &[DiskAddress],
+        visit: F,
+    ) -> (Vec<Result<(), DiskError>>, SimTime)
+    where
+        F: FnMut(usize, SectorView<'_>),
+    {
+        let mut lend = Lend {
+            das,
+            visit,
+            buf: SectorBuf::zeroed(),
+        };
+        self.chain(start, das.len(), &mut lend)
     }
 }
 
@@ -1042,60 +1102,71 @@ impl Disk for DiskDrive {
             .pack
             .geometry()
             .to_chs(da);
-        self.charge_command();
+        let now = self.charge_command(self.clock.now());
         let mut acc = DriveStats::default();
-        let mut head = self.head(&mut acc);
+        let mut head = self.head(now, &mut acc);
         let (_, result) = head.step(&mut One { da, op, buf }, 0, chs, None);
-        let now = head.now;
-        self.clock.set(now);
+        let end = head.now;
+        self.clock.advance_to(end);
         self.stats = self.stats.merged(&acc);
         result
     }
 
     fn do_batch(&mut self, batch: &mut [BatchRequest]) -> Vec<Result<(), DiskError>> {
-        self.chain(batch.len(), batch)
+        let (results, end) = self.batch_from(self.clock.now(), batch);
+        self.clock.advance_to(end);
+        results
     }
 
     /// The chain with each `READ_ALL` sector lent in place: one sector time
     /// and full rotational accounting per request, no 532-byte copy out.
-    /// Visits run in service order. With the auditor or a fault armed,
+    /// Visits run in service order, each with the shared clock moved
+    /// forward to its sector's instant. With the auditor or a fault armed,
     /// each sector is staged through a buffer instead and the view shows
     /// that buffer.
-    fn do_batch_read<F>(&mut self, das: &[DiskAddress], visit: F) -> Vec<Result<(), DiskError>>
+    fn do_batch_read<F>(&mut self, das: &[DiskAddress], mut visit: F) -> Vec<Result<(), DiskError>>
     where
         F: FnMut(usize, SectorView<'_>),
     {
-        let mut lend = Lend {
-            das,
-            visit,
-            buf: SectorBuf::zeroed(),
-        };
-        self.chain(das.len(), &mut lend)
+        let clock = self.clock.clone();
+        let (results, end) = self.read_from(clock.now(), das, |i, view| {
+            clock.advance_to(view.at());
+            visit(i, view);
+        });
+        clock.advance_to(end);
+        results
     }
 
     /// The chain with each `WRITE` checked in place against the platter and
-    /// its data words taken straight from `source`'s borrow. With the
-    /// auditor or a fault armed, each request is staged through a buffer
-    /// instead and the view shows that buffer.
+    /// its data words taken straight from `source`'s borrow. Visits run in
+    /// service order, each with the shared clock moved forward to its
+    /// sector's instant. With the auditor or a fault armed, each request is
+    /// staged through a buffer instead and the view shows that buffer.
     fn do_batch_write<'a, S, V>(
         &mut self,
         das: &[DiskAddress],
         source: S,
-        visit: V,
+        mut visit: V,
     ) -> Vec<Result<(), DiskError>>
     where
         S: FnMut(usize) -> WriteSource<'a>,
         V: FnMut(usize, SectorView<'_>),
     {
+        let clock = self.clock.clone();
         let mut borrowed = Borrowed {
             source,
             lend: Lend {
                 das,
-                visit,
+                visit: |i, view: SectorView<'_>| {
+                    clock.advance_to(view.at());
+                    visit(i, view);
+                },
                 buf: SectorBuf::zeroed(),
             },
         };
-        self.chain(das.len(), &mut borrowed)
+        let (results, end) = self.chain(clock.now(), das.len(), &mut borrowed);
+        clock.advance_to(end);
+        results
     }
 
     fn io_stats(&self) -> DriveStats {
@@ -1598,6 +1669,41 @@ mod tests {
                 assert!(!seen.iter().any(|&(j, _, _)| j == i), "visited failed {i}");
             }
         }
+    }
+
+    /// Each view reaches its visitor with the shared clock at the instant
+    /// its sector left the platter, and what a visitor spends on the shared
+    /// clock overlaps the rest of the chain instead of being erased.
+    #[test]
+    fn batch_read_lends_each_view_at_its_instant() {
+        let das: Vec<DiskAddress> = (0..30).map(DiskAddress).collect();
+        let mut quiet = drive();
+        let t0 = quiet.clock().now();
+        let mut instants = Vec::new();
+        quiet.do_batch_read(&das, |_, v| instants.push(v.at()));
+        let disk_end = quiet.clock().now();
+        assert_eq!(instants.len(), das.len());
+        assert!(instants[0] > t0);
+        assert!(instants.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(instants.last().copied(), Some(disk_end));
+
+        // Each visit spends two sector times on the shared clock, so the
+        // visits fall behind the platter; the platter does not wait.
+        let mut busy = drive();
+        let spend = busy.timing().unwrap().sector_time.scaled(2);
+        let clock = busy.clock().clone();
+        let mut free_at = t0;
+        let mut k = 0;
+        busy.do_batch_read(&das, |_, v| {
+            assert_eq!(v.at(), instants[k]);
+            assert_eq!(clock.now(), v.at().max(free_at));
+            clock.advance(spend);
+            free_at = clock.now();
+            k += 1;
+        });
+        assert!(free_at > disk_end, "the visits should outlast the platter");
+        assert_eq!(busy.clock().now(), free_at);
+        assert_eq!(busy.stats(), quiet.stats());
     }
 
     /// With the auditor attached the view read stages every request

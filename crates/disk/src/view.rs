@@ -13,7 +13,12 @@
 //! The views are read-only borrows over plain `u16` slices — no transmutes,
 //! no lifetimes beyond the borrow, and nothing here can touch the simulated
 //! clock or the §3.3 semantics. The label discipline is enforced where it
-//! always was: in [`crate::sector::apply`] and the drive.
+//! always was: in [`crate::sector::apply`] and the drive. A lent
+//! [`SectorView`] carries one more fact, the instant its sector left the
+//! platter ([`SectorView::at`]), which the drive and the drive array move
+//! the shared clock to before each lend.
+
+use alto_sim::SimTime;
 
 use crate::geometry::DiskAddress;
 use crate::label::{Label, LABEL_WORDS};
@@ -124,25 +129,42 @@ pub struct SectorView<'a> {
     header: &'a [u16; HEADER_WORDS],
     label: &'a [u16; LABEL_WORDS],
     data: &'a [u16; DATA_WORDS],
+    at: SimTime,
 }
 
 impl<'a> SectorView<'a> {
-    /// Views the given sector.
+    /// Views the given sector, stamped [`SimTime::ZERO`].
     pub fn new(sector: &'a Sector) -> SectorView<'a> {
         SectorView {
             header: &sector.header,
             label: &sector.label,
             data: &sector.data,
+            at: SimTime::ZERO,
         }
     }
 
-    /// Views the given memory-side buffer through the same lens.
+    /// Views the given memory-side buffer through the same lens, stamped
+    /// [`SimTime::ZERO`].
     pub fn of_buf(buf: &'a SectorBuf) -> SectorView<'a> {
         SectorView {
             header: &buf.header,
             label: &buf.label,
             data: &buf.data,
+            at: SimTime::ZERO,
         }
+    }
+
+    /// The same view, stamped with the instant `at` its sector left the
+    /// platter.
+    pub fn stamped(self, at: SimTime) -> SectorView<'a> {
+        SectorView { at, ..self }
+    }
+
+    /// The instant the viewed sector left the platter: the end of its
+    /// transfer on the serving arm's timeline. A disk lends each view with
+    /// the shared clock at this instant.
+    pub fn at(&self) -> SimTime {
+        self.at
     }
 
     /// The header words: `[pack_number, disk_address]`.

@@ -139,9 +139,10 @@ impl ScriptedClient {
         matches!(self.phase, ClientPhase::Done | ClientPhase::Failed)
     }
 
-    /// Absorbs one reply addressed to this client. Pushes the request's
-    /// first-send → reply latency onto `samples` for served pages.
-    pub fn on_packet(&mut self, pkt: &Packet, now: SimTime, samples: &mut Vec<SimTime>) {
+    /// Absorbs one reply addressed to this client, which arrived at
+    /// `arrival`. Pushes the request's first-send → arrival latency onto
+    /// `samples` for served pages.
+    pub fn on_packet(&mut self, pkt: &Packet, arrival: SimTime, samples: &mut Vec<SimTime>) {
         match pkt.ptype {
             OPEN_REPLY if self.phase == ClientPhase::Opening => {
                 if let [STATUS_OK, handle, pages, _last_len] = pkt.payload[..] {
@@ -160,7 +161,7 @@ impl ScriptedClient {
                 match self.window.iter().position(|o| o.seq == pkt.seq) {
                     Some(i) => {
                         let o = self.window.swap_remove(i);
-                        samples.push(now.saturating_sub(o.first_sent));
+                        samples.push(arrival.saturating_sub(o.first_sent));
                         self.received += 1;
                         self.served_words += pkt.payload.len() as u64;
                         // Commutative fold: replies may arrive out of order
@@ -318,8 +319,9 @@ pub struct ClientFleet {
     clients: Vec<ScriptedClient>,
     hosts: Vec<HostId>,
     per_host: usize,
-    inbox: Vec<Packet>,
-    /// First-send → reply latency of every served page, in arrival order.
+    inbox: Vec<(SimTime, Packet)>,
+    /// First-send → reply-arrival latency of every served page, in the
+    /// order the fleet drained them.
     pub samples: Vec<SimTime>,
 }
 
@@ -371,9 +373,10 @@ impl ClientFleet {
     }
 
     /// One fleet tick: drain every host inbox once, route replies to their
-    /// clients (handing each consumed payload back to the ether), then
-    /// pump every unfinished client. Returns packets received plus packets
-    /// sent (0 means the fleet is idle — waiting).
+    /// clients with their arrival stamps (handing each consumed payload
+    /// back to the ether), then pump every unfinished client. Returns
+    /// packets received plus packets sent (0 means the fleet is idle —
+    /// waiting).
     pub fn tick(&mut self, ether: &mut Ether) -> Result<u64, NetError> {
         let now = ether.clock().now();
         let mut events = 0u64;
@@ -381,12 +384,12 @@ impl ClientFleet {
         for (hi, &host) in self.hosts.iter().enumerate() {
             inbox.clear();
             ether.drain_arrived(host, &mut inbox)?;
-            for pkt in inbox.drain(..) {
+            for (arrival, pkt) in inbox.drain(..) {
                 let slot = pkt.dst_socket.wrapping_sub(FLEET_SOCKET_BASE) as usize;
                 let idx = hi * self.per_host + slot;
                 if slot < self.per_host && idx < self.clients.len() {
                     events += 1;
-                    self.clients[idx].on_packet(&pkt, now, &mut self.samples);
+                    self.clients[idx].on_packet(&pkt, arrival, &mut self.samples);
                 }
                 ether.recycle(pkt.payload);
             }

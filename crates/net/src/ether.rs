@@ -2,9 +2,11 @@
 //!
 //! Hosts attach to the ether and exchange [`Packet`]s; transmission charges
 //! the shared clock at the experimental Ethernet's 3 Mb/s (≈5.33 µs per
-//! 16-bit word), and each packet arrives at its destination after the
-//! transmission time. Deterministic packet loss can be injected for
-//! protocol testing.
+//! 16-bit word), and each packet arrives at its destination, stamped with
+//! that instant, when its transmission ends. The sender pays, and the
+//! shared clock only moves forward, so sends on the one wire never
+//! overlap and every inbox fills in arrival order. Deterministic packet
+//! loss can be injected for protocol testing.
 
 use std::collections::VecDeque;
 
@@ -55,6 +57,20 @@ const WIRE_WORDS: usize = HEADER_WORDS + MAX_PAYLOAD_WORDS + 1;
 struct Inbox {
     host: HostId,
     queue: VecDeque<(SimTime, Packet)>,
+}
+
+impl Inbox {
+    /// Queues a packet that arrives at `at`. Arrival stamps never decrease
+    /// along a queue: [`Ether::drain_arrived`] takes the arrived prefix
+    /// from the front.
+    fn push(&mut self, at: SimTime, packet: Packet) {
+        debug_assert!(
+            self.queue.back().is_none_or(|&(last, _)| last <= at),
+            "host {} queued a packet arriving at {at} behind one arriving later",
+            self.host
+        );
+        self.queue.push_back((at, packet));
+    }
 }
 
 /// The shared broadcast medium.
@@ -204,7 +220,7 @@ impl Ether {
                 Packet::decode_with(&wire, packet.payload).expect("self-encoded packet");
             self.recycle(wire);
             if let Some(inbox) = self.inboxes.iter_mut().find(|i| i.host == packet.dst_host) {
-                inbox.queue.push_back((arrival, delivered));
+                inbox.push(arrival, delivered);
             }
             return Ok(());
         }
@@ -215,7 +231,7 @@ impl Ether {
             }
             let copy = self.words();
             let delivered = Packet::decode_with(&wire, copy).expect("self-encoded packet");
-            self.inboxes[k].queue.push_back((arrival, delivered));
+            self.inboxes[k].push(arrival, delivered);
         }
         self.recycle(wire);
         self.recycle(packet.payload);
@@ -243,27 +259,32 @@ impl Ether {
     }
 
     /// Drains every packet that has arrived at `host` by the current
-    /// simulated time into `out`, in arrival order, across all sockets —
-    /// the batch receive the page server's request loop is built on: one
-    /// pass over the inbox per tick instead of one scan per socket.
+    /// simulated time into `out` as `(arrival, packet)` pairs, in arrival
+    /// order, across all sockets — the batch receive the page server's
+    /// request loop is built on: one pass over the inbox per tick instead
+    /// of one scan per socket. The arrival stamp is the instant the
+    /// packet's transmission ended, which a receiver times replies by.
     ///
     /// Recycle each consumed packet's payload with [`Ether::recycle`] to
     /// keep the steady state allocation-free.
-    pub fn drain_arrived(&mut self, host: HostId, out: &mut Vec<Packet>) -> Result<(), NetError> {
+    pub fn drain_arrived(
+        &mut self,
+        host: HostId,
+        out: &mut Vec<(SimTime, Packet)>,
+    ) -> Result<(), NetError> {
         let now = self.clock.now();
         let inbox = self
             .inboxes
             .iter_mut()
             .find(|i| i.host == host)
             .ok_or(NetError::NoSuchHost(host))?;
-        // Arrival times are monotone (every send happens at a later clock
-        // instant), so the arrived prefix is exactly the front of the queue.
+        // Arrival stamps never decrease along a queue (see `Inbox::push`),
+        // so the arrived prefix is exactly the front of the queue.
         while let Some((at, _)) = inbox.queue.front() {
             if *at > now {
                 break;
             }
-            let (_, p) = inbox.queue.pop_front().unwrap_or_else(|| unreachable!());
-            out.push(p);
+            out.push(inbox.queue.pop_front().unwrap_or_else(|| unreachable!()));
         }
         Ok(())
     }
@@ -419,7 +440,18 @@ mod tests {
         e.send(packet(1, 3, 0x30, 9)).unwrap();
         let mut out = Vec::new();
         e.drain_arrived(2, &mut out).unwrap();
-        assert_eq!(out.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(
+            out.iter().map(|(_, p)| p.seq).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        // Each packet is stamped with the instant its transmission ended:
+        // the sends queued one behind another on the one wire.
+        let wire = |seq| WORD_TIME.scaled(packet(1, 2, 0x30, seq).wire_words() as u64);
+        let stamps: Vec<SimTime> = out.iter().map(|&(at, _)| at).collect();
+        assert_eq!(
+            stamps,
+            vec![wire(1), wire(1) + wire(2), wire(1) + wire(2) + wire(3)]
+        );
         out.clear();
         e.drain_arrived(2, &mut out).unwrap();
         assert!(out.is_empty());

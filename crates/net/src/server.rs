@@ -14,8 +14,9 @@
 //!   [`PageStore`] as **one batch**, which the store sorts by disk address
 //!   and feeds to the chained-transfer scheduler — requests from different
 //!   clients coalesce into single disk command chains instead of paying a
-//!   full rotation each (`set_batching_enabled(false)` restores the naive
-//!   per-request service for the ablation);
+//!   full rotation each, and requests for the same page share one read
+//!   (`set_batching_enabled(false)` restores the naive per-request service
+//!   for the ablation);
 //! * replies are assembled on the ether's recycled payload vectors
 //!   ([`Ether::words`]), filled straight from the store's zero-copy sector
 //!   views: one copy platter → payload, no staging buffer, no per-request
@@ -32,6 +33,7 @@
 use std::collections::BTreeMap;
 
 use alto_disk::DATA_WORDS;
+use alto_sim::SimTime;
 
 use crate::ether::{Ether, HostId, NetError};
 use crate::packet::{Packet, PacketType};
@@ -136,7 +138,15 @@ pub trait PageStore {
     ///
     /// The batch spans *clients*: the store is expected to sort it by disk
     /// address and issue it as chained transfers — that cross-client
-    /// coalescing is the whole performance story of the server.
+    /// coalescing is the whole performance story of the server. Requests
+    /// that name the same page are read once, and its data is delivered to
+    /// each of them.
+    ///
+    /// Each `deliver` runs with the shared clock at its page's instant: the
+    /// moment the sector left the platter, or later if earlier deliveries
+    /// (reply sends) already spent the clock past it. A reply sent from
+    /// `deliver` therefore leaves no earlier than its data exists and queues
+    /// behind the previous reply on the one wire.
     fn serve<F>(&mut self, reqs: &[PageRequest], failed: &mut Vec<(u32, u16)>, deliver: F)
     where
         F: FnMut(u32, &[u16; DATA_WORDS]);
@@ -189,7 +199,7 @@ pub struct PageServer {
     socket: u16,
     batching: bool,
     sessions: BTreeMap<(HostId, u16), Session>,
-    inbox: Vec<Packet>,
+    inbox: Vec<(SimTime, Packet)>,
     reads: Vec<PageRequest>,
     pending: Vec<PendingReply>,
     failed: Vec<(u32, u16)>,
@@ -244,7 +254,7 @@ impl PageServer {
         self.reads.clear();
         self.pending.clear();
         self.failed.clear();
-        for pkt in inbox.drain(..) {
+        for (_, pkt) in inbox.drain(..) {
             if pkt.dst_socket != self.socket {
                 ether.recycle(pkt.payload);
                 continue;

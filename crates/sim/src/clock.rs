@@ -113,9 +113,14 @@ impl fmt::Display for SimTime {
 ///
 /// All simulated devices hold a clone of the same `SimClock` and call
 /// [`SimClock::advance`] as they consume time. Tests and benchmarks read the
-/// clock before and after an operation to obtain its simulated cost. The
-/// handle is `Send`/`Sync`, so overlapped device timelines (a dual drive's
-/// two arms) may run on worker threads, each against its own private clock.
+/// clock before and after an operation to obtain its simulated cost.
+///
+/// The clock only moves forward. A device with overlapped internal
+/// timelines (each chain pass of a drive, each arm of a drive array) keeps
+/// those timelines' instants in locals, on the caller's thread, and moves
+/// the shared clock with [`SimClock::advance_to`]: to the instant each lent
+/// sector left the platter, then to the batch's end. Work a visitor does
+/// in between (a reply on the wire) is never erased, only overlapped.
 ///
 /// # Examples
 ///
@@ -155,18 +160,10 @@ impl SimClock {
         (out, self.now() - start)
     }
 
-    /// Sets the clock to an absolute instant.
-    ///
-    /// This exists for devices that model *overlapped* internal timelines:
-    /// a dual-drive adapter executes each unit's half of a batch from the
-    /// same start instant and then sets the clock to the later finish, so
-    /// the elapsed time is the maximum of the two units' times rather than
-    /// their sum. It must only be used by a device while it has exclusive
-    /// control of the timeline (a synchronous operation), so no other
-    /// device observes an intermediate instant. Ordinary devices should
-    /// only ever [`SimClock::advance`].
-    pub fn set(&self, t: SimTime) {
-        self.now.store(t.as_nanos(), Ordering::Relaxed);
+    /// Moves the clock forward to `t`, or leaves it where it is if it is
+    /// already past `t`: the clock becomes max(now, t) and never moves back.
+    pub fn advance_to(&self, t: SimTime) {
+        self.now.fetch_max(t.0, Ordering::Relaxed);
     }
 }
 
@@ -218,14 +215,20 @@ mod tests {
     }
 
     #[test]
-    fn set_rewinds_and_forwards_all_handles() {
+    fn advance_to_moves_every_handle_forward_only() {
         let clock = SimClock::new();
         let other = clock.clone();
         clock.advance(SimTime::from_millis(10));
-        other.set(SimTime::from_millis(4));
-        assert_eq!(clock.now().as_millis(), 4);
-        other.set(SimTime::from_millis(25));
+        // An earlier instant leaves the clock where it is...
+        other.advance_to(SimTime::from_millis(4));
+        assert_eq!(clock.now().as_millis(), 10);
+        // ...and so does the current one...
+        other.advance_to(SimTime::from_millis(10));
+        assert_eq!(clock.now().as_millis(), 10);
+        // ...while a later one moves every handle to it.
+        other.advance_to(SimTime::from_millis(25));
         assert_eq!(clock.now().as_millis(), 25);
+        assert_eq!(other.now().as_millis(), 25);
     }
 
     #[test]

@@ -449,7 +449,9 @@ fn clock_discipline_transitive(files: &[SourceFile], graph: &CallGraph, out: &mu
             line.number >= node.start_line
                 && line.number <= node.end_line
                 && graph.node_at(node.file, line.number) == Some(id)
-                && [".advance(", ".set("].iter().any(|p| line.code.contains(p))
+                && [".advance(", ".advance_to(", ".set("]
+                    .iter()
+                    .any(|p| line.code.contains(p))
                 && (idx.saturating_sub(2)..=idx)
                     .any(|j| lines[j].code.to_ascii_lowercase().contains("clock"))
                 && !line_is_allowed(file, line.number, "clock-discipline")

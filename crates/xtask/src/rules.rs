@@ -313,11 +313,10 @@ fn diskerror_unwrap(file: &SourceFile, out: &mut Vec<Violation>) {
 }
 
 /// `clock-discipline`: the simulated clock is advanced by the disk layer as a
-/// side effect of I/O; other crates advancing (or worse, rewinding) it skew
-/// every latency number in the simulation. Outside `crates/disk` and
-/// `crates/sim`, any `.advance(` / `.set(` whose receiver mentions a clock
-/// (on the same or the two preceding lines, to survive rustfmt chains) must
-/// be annotated.
+/// side effect of I/O; other crates moving it skew every latency number in
+/// the simulation. Outside `crates/disk` and `crates/sim`, any `.advance(` /
+/// `.advance_to(` / `.set(` whose receiver mentions a clock (on the same or
+/// the two preceding lines, to survive rustfmt chains) must be annotated.
 fn clock_discipline(file: &SourceFile, out: &mut Vec<Violation>) {
     if in_crates(file, &["crates/disk", "crates/sim"]) {
         return;
@@ -328,7 +327,7 @@ fn clock_discipline(file: &SourceFile, out: &mut Vec<Violation>) {
         .filter(|l| !l.code.trim().is_empty())
         .collect();
     for (idx, line) in lines.iter().enumerate() {
-        for pat in [".advance(", ".set("] {
+        for pat in [".advance(", ".advance_to(", ".set("] {
             if !line.code.contains(pat) {
                 continue;
             }

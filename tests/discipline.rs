@@ -205,6 +205,37 @@ fn cheat_time(&mut self) {
 }
 
 #[test]
+fn clock_discipline_catches_a_forward_store_outside_disk() {
+    // `advance_to` never rewinds, but a ready reply that jumps the shared
+    // clock to an instant of its own choosing skews every latency just the
+    // same: outside crates/disk and crates/sim it needs an annotation.
+    let seeded = r#"
+fn reply_when_ready(&mut self, ready: SimTime) {
+    self.clock.advance_to(ready);
+}
+
+fn pump_replies(&mut self, ready: SimTime) {
+    self.reply_when_ready(ready);
+}
+"#;
+    let path = "crates/net/src/mutant.rs";
+    let lint = xtask::lint_sources(&[(path, seeded)]);
+    assert!(
+        lint.violations.iter().any(|v| v.rule == "clock-discipline"),
+        "lint must flag `.advance_to(` on a clock outside crates/disk and crates/sim, got {:?}",
+        lint.violations
+    );
+    let analyze = xtask::analyze_sources(&[(path, seeded)]);
+    assert!(
+        analyze.violations.iter().any(|v| {
+            v.rule == "clock-discipline-transitive" && v.message.contains("pump_replies")
+        }),
+        "analyze must flag the caller that reaches `.advance_to(`, got {:?}",
+        analyze.violations
+    );
+}
+
+#[test]
 fn static_catches_stale_allow() {
     let seeded = "// lint: allow(raw-disk-op) — left over from a refactor\nfn innocent() {}\n";
     let report = xtask::lint_sources(&[("crates/fs/src/mutant.rs", seeded)]);
