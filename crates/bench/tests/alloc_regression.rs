@@ -176,10 +176,13 @@ fn pooled_steady_state_paths_allocate_nothing() {
     // 16-page file through a held-open stream, cursor rewound between
     // rounds. This covers the whole stack above the drive — write-behind
     // parks and drains (the zero-copy write path), readahead refills, label
-    // verification — plus the stream's own working vectors. Opening a
-    // stream is excluded: the leader cache hands back an owned copy of the
-    // leader (its name is a `String`), and the stream's vectors start
-    // empty, which are per-open costs, not per-page ones.
+    // verification — plus the stream's own working vectors. Every call
+    // spans all 16 pages, so its refill reads the 15 pages after the first
+    // in one chain and a write holds its parks for one drain at the end:
+    // the deep batches, not the 4-page floor. Opening a stream is
+    // excluded: the leader cache hands back an owned copy of the leader
+    // (its name is a `String`), and the stream's vectors start empty,
+    // which are per-open costs, not per-page ones.
     let mut fs = alto_bench::fresh_fs(DiskModel::Diablo31);
     fs.disk().trace().set_enabled(false);
     let root = fs.root_dir();
@@ -197,6 +200,11 @@ fn pooled_steady_state_paths_allocate_nothing() {
         s.write_bytes(&mut fs, &bytes).expect("warm write");
         s.set_position(&mut fs, 0).expect("warm rewind");
     }
+    let prefetched = fs.disk().stats().readahead_prefetched;
+    let (drains, parked) = {
+        let io = fs.disk().io_stats();
+        (io.wb_drains, io.wb_coalesced)
+    };
     let mut spent = 0;
     for _ in 0..ROUNDS {
         let before = allocs();
@@ -205,12 +213,27 @@ fn pooled_steady_state_paths_allocate_nothing() {
         s.set_position(&mut fs, 0).expect("rewind");
     }
     assert_eq!(spent, 0, "steady-state stream writes allocated");
+    assert_eq!(
+        fs.disk().stats().readahead_prefetched - prefetched,
+        14 * ROUNDS as u64,
+        "a write's refill did not reach the end of its call"
+    );
+    // Page 1 drains with the refill, 2..15 in one batch at the end of the
+    // call; the rewind flushes page 16, the current page, which never
+    // parked.
+    let io = fs.disk().io_stats();
+    assert_eq!(
+        (io.wb_drains - drains, io.wb_coalesced - parked),
+        (2 * ROUNDS as u64, 15 * ROUNDS as u64),
+        "a write did not hold its parks for one drain at the end"
+    );
 
     for _ in 0..4 {
         let n = s.read_bytes(&mut fs, &mut back).expect("warm read");
         assert_eq!(n, bytes.len());
         s.set_position(&mut fs, 0).expect("warm rewind");
     }
+    let prefetched = fs.disk().stats().readahead_prefetched;
     let mut spent = 0;
     for _ in 0..ROUNDS {
         let before = allocs();
@@ -220,6 +243,11 @@ fn pooled_steady_state_paths_allocate_nothing() {
         s.set_position(&mut fs, 0).expect("rewind");
     }
     assert_eq!(spent, 0, "steady-state stream reads allocated");
+    assert_eq!(
+        fs.disk().stats().readahead_prefetched - prefetched,
+        14 * ROUNDS as u64,
+        "a read's refill did not reach the end of its call"
+    );
     s.close(&mut fs).expect("close");
     drop(s);
 

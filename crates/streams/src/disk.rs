@@ -11,18 +11,27 @@
 //! interface, and a program that uses them only works with disk streams.
 //!
 //! Sequential readers get **readahead**: when the stream crosses into the
-//! next page of a file whose leader hints at consecutive layout, it fetches
-//! a handful of following pages in one chained batch (§3.6 guessed
-//! transfers) and serves later crossings from memory. The buffered pages
-//! are guarded by the disk's [`Disk::write_epoch`] — any write to the
-//! medium behind the stream's back drops them — so a reader never observes
-//! stale prefetched data.
+//! next page of a file whose leader hints at consecutive layout, it reads
+//! the following pages in one chained batch (§3.6 guessed transfers) and
+//! serves later crossings from memory. The caller's buffer sets how far the
+//! guess reaches. A bulk call ([`DiskByteStream::read_bytes`],
+//! [`DiskByteStream::write_bytes`]) refills with every page it still has to
+//! fill, capped by the leader's last-page hints, so a whole-file call is one
+//! chain; a byte call, a bulk call spanning few pages, or a refill whose
+//! hinted last page does not lie straight ahead reads the floor of
+//! `READAHEAD_PAGES`. The buffered pages are guarded by the disk's
+//! [`Disk::write_epoch`] — any write to the medium behind the stream's back
+//! drops them — so a reader never observes stale prefetched data.
 //!
 //! Sequential writers get the symmetric **write-behind**: a page crossing
 //! parks the dirty page in a delayed-write buffer instead of flushing it,
 //! and a drain writes all parked pages as one chained batch — combined
-//! with the next readahead refill when possible, so four writes and four
-//! reads ride on a single command set-up. Every parked page keeps the full
+//! with the next readahead refill when possible, so the writes behind the
+//! cursor and the reads ahead of it ride on a single command set-up. Byte
+//! writes drain at the floor of `WRITE_BEHIND_PAGES` parked pages; a bulk
+//! write holds every page it parks until the call ends and then drains
+//! them as one chain, so either way a call returns with at most
+//! `WRITE_BEHIND_PAGES` pages parked. Every parked page keeps the full
 //! §3.3 check-before-write discipline when it finally transfers. Explicit
 //! `flush`/`close`, seeks, epoch conflicts (a foreign write to the medium)
 //! and buffer pressure all drain. The stream re-stamps its epoch after its
@@ -31,6 +40,8 @@
 //! invalidate. Label-changing pages (length growth, extension) never park:
 //! a label rewrite is a check pass plus a write pass on one sector and
 //! cannot chain.
+
+use std::ops::Range;
 
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
@@ -85,8 +96,10 @@ pub struct DiskByteStream<D: Disk> {
     /// Leader hint: the file's pages may sit at consecutive addresses, so
     /// guessed readahead batches are worth issuing.
     consecutive_hint: bool,
-    /// Pages prefetched beyond the current one: `(page, da, label, data)`.
-    readahead: Vec<(u16, DiskAddress, Label, [u16; DATA_WORDS])>,
+    /// Leader hints: the file's last page and its address. They cap how
+    /// far a bulk call's guessed refill reaches; a stale value only changes
+    /// the guess, since every follower is label-checked.
+    last_page_hint: PageName,
     /// The disk's [`Disk::write_epoch`] as of this stream's own last drain
     /// or refill; a different value means a *foreign* write reached the
     /// medium, so prefetched copies may be stale and parked pages should
@@ -99,24 +112,29 @@ pub struct DiskByteStream<D: Disk> {
     /// The ablation switch: off restores one synchronous flush per page
     /// crossing.
     write_behind_enabled: bool,
-    /// Empty-but-warm double buffer for [`Self::drain`]: the parked pages
-    /// swap into it for the duration of a drain, so the steady state never
-    /// reallocates either vector.
-    drain_scratch: Vec<(u16, DiskAddress, [u16; DATA_WORDS])>,
-    /// Reusable output storage for `drain_and_prefetch_into`.
+    /// Reusable output storage for the write half of a batch.
     write_results: Vec<Result<Label, FsError>>,
-    /// Reusable output storage for the prefetch half of a refill batch.
+    /// The read half of the last refill batch, kept as the readahead:
+    /// entry `j` holds page `refill_start.page + j`, guessed at address
+    /// `refill_start.da + j`.
     read_results: Vec<alto_fs::page::PageResult>,
+    /// The page the last refill started from.
+    refill_start: PageName,
+    /// The entries of `read_results` that are verified followers not yet
+    /// consumed; crossings consume them from the front.
+    ahead: Range<usize>,
     _disk: std::marker::PhantomData<D>,
 }
 
-/// Pages fetched per readahead batch (the current page plus up to three
-/// prefetched followers).
+/// The fewest pages a readahead refill reads: the current page plus up to
+/// three prefetched followers. A bulk call that still has more pages to
+/// fill reads them all.
 const READAHEAD_PAGES: u16 = 4;
 
-/// Dirty pages parked before buffer pressure forces a drain (symmetric
-/// with [`READAHEAD_PAGES`], so a combined drain-and-refill batch moves up
-/// to eight sectors on one command set-up).
+/// The fewest dirty pages parked before buffer pressure forces a drain
+/// (symmetric with [`READAHEAD_PAGES`], so a byte writer's combined
+/// drain-and-refill batch moves up to eight sectors on one command
+/// set-up). A bulk write holds every page it parks until the call ends.
 const WRITE_BEHIND_PAGES: usize = 4;
 
 impl<D: Disk> DiskByteStream<D> {
@@ -141,13 +159,14 @@ impl<D: Disk> DiskByteStream<D> {
             resized: false,
             closed: false,
             consecutive_hint: leader.maybe_consecutive,
-            readahead: Vec::new(),
+            last_page_hint: PageName::new(file.fv, leader.last_page, leader.last_da),
             medium_epoch,
             write_behind: Vec::new(),
             write_behind_enabled: true,
-            drain_scratch: Vec::new(),
             write_results: Vec::new(),
             read_results: Vec::new(),
+            refill_start: pn,
+            ahead: 0..0,
             _disk: std::marker::PhantomData,
         })
     }
@@ -158,49 +177,52 @@ impl<D: Disk> DiskByteStream<D> {
     }
 
     /// Seeks to an absolute byte position within the file (non-standard
-    /// operation). Positions up to and including the end are valid.
+    /// operation). Positions up to and including the end are valid; a
+    /// failed seek leaves the cursor where it was.
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, pos: u64) -> Result<(), StreamError> {
         self.check_open()?;
         let target_page = (pos / PAGE_BYTES as u64) as u16 + 1;
         let target_offset = (pos % PAGE_BYTES as u64) as usize;
-        if target_page != self.page {
-            self.flush(fs)?;
-            // Walk from the current page if the target is ahead, else from
-            // page 1 via the leader.
-            let (mut page, mut da) = if target_page > self.page {
-                (self.page, self.da)
-            } else {
-                let (leader_label, _) = fs.open_leader(self.file)?;
-                (1, leader_label.next)
-            };
-            loop {
-                let pn = PageName::new(self.file.fv, page, da);
-                let (label, buffer) = fs.read_page(pn)?;
-                if page == target_page {
-                    self.page = page;
-                    self.da = da;
-                    self.label = label;
-                    self.buffer = buffer;
-                    break;
-                }
-                if label.next.is_nil() {
-                    return Err(StreamError::Fs(FsError::PastEnd {
-                        page: target_page,
-                        last: page,
-                    }));
-                }
-                page += 1;
-                da = label.next;
-            }
-        }
-        if target_offset > self.label.length as usize {
-            return Err(StreamError::Fs(FsError::PastEnd {
+        let past_end = |last| {
+            StreamError::Fs(FsError::PastEnd {
                 page: target_page,
-                last: self.page,
-            }));
+                last,
+            })
+        };
+        if target_page == self.page {
+            if target_offset > self.label.length as usize {
+                return Err(past_end(self.page));
+            }
+            self.offset = target_offset;
+            return Ok(());
         }
-        self.offset = target_offset;
-        Ok(())
+        self.flush(fs)?;
+        // Walk from the current page if the target is ahead, else from
+        // page 1 via the leader.
+        let (mut page, mut da) = if target_page > self.page {
+            (self.page, self.da)
+        } else {
+            let (leader_label, _) = fs.open_leader(self.file)?;
+            (1, leader_label.next)
+        };
+        loop {
+            let pn = PageName::new(self.file.fv, page, da);
+            let (label, buffer) = fs.read_page(pn)?;
+            if page == target_page {
+                // Validate the offset before committing any state.
+                if target_offset > label.length as usize {
+                    return Err(past_end(page));
+                }
+                self.enter_page(page, da, label, buffer);
+                self.offset = target_offset;
+                return Ok(());
+            }
+            if label.next.is_nil() {
+                return Err(past_end(page));
+            }
+            page += 1;
+            da = label.next;
+        }
     }
 
     /// The file this stream is open on.
@@ -243,76 +265,71 @@ impl<D: Disk> DiskByteStream<D> {
         Ok(())
     }
 
-    /// Writes all parked pages back as one chained batch. Each page is an
-    /// ordinary data write at its known address whose label check must
-    /// pass before the value transfers (§3.3), so a conflicting foreign
-    /// change surfaces as an error here rather than corrupting anything.
-    /// The batch bumps the write epoch once for this stream's purposes:
-    /// its own readahead stays valid (the parked pages all lie behind the
-    /// read cursor), so the epoch is re-stamped after the drain.
+    /// Writes all parked pages back as one chained batch.
     fn drain(&mut self, fs: &mut FileSystem<D>) -> Result<(), StreamError> {
         if self.write_behind.is_empty() {
             return Ok(());
         }
-        // Swap the parked pages into the warm double buffer (and the warm
-        // output vectors out of self) so a steady-state drain reuses the
-        // same storage every time.
-        let mut writes = std::mem::replace(
-            &mut self.write_behind,
-            std::mem::take(&mut self.drain_scratch),
-        );
-        let mut write_results = std::mem::take(&mut self.write_results);
-        let mut read_results = std::mem::take(&mut self.read_results);
-        let outcome = alto_fs::page::drain_and_prefetch_into(
+        self.chain(fs, None, 0)
+    }
+
+    /// Issues one chained batch: a write for every parked page, then
+    /// `read_count` guessed reads from `read_start`, whose results are left
+    /// in `read_results`. Each write is an ordinary data write at its known
+    /// address whose label check must pass before the value transfers
+    /// (§3.3), so a conflicting foreign change surfaces as an error here
+    /// rather than corrupting anything. A page whose write failed stays
+    /// parked and the first failure is reported: it is still owed to the
+    /// medium and surfaces again on the next drain, `flush` or `close`.
+    /// The batch bumps the write epoch once for this stream's purposes: its
+    /// own readahead stays valid (the parked pages all lie behind the read
+    /// cursor), so the epoch is re-stamped afterwards.
+    fn chain(
+        &mut self,
+        fs: &mut FileSystem<D>,
+        read_start: Option<PageName>,
+        read_count: u16,
+    ) -> Result<(), StreamError> {
+        let mut writes = std::mem::take(&mut self.write_behind);
+        self.write_results.reserve(writes.len());
+        // A pure drain leaves the readahead in `read_results` alone.
+        let mut no_reads = Vec::new();
+        let read_out = match read_start {
+            Some(_) => &mut self.read_results,
+            None => &mut no_reads,
+        };
+        if let Err(e) = alto_fs::page::drain_and_prefetch_into(
             fs.disk_mut(),
             self.file.fv,
             &writes,
-            None,
-            0,
-            &mut write_results,
-            &mut read_results,
-        );
-        self.read_results = read_results;
-        if let Err(e) = outcome {
-            // Pre-flight failure: the batch never reached the disk,
-            // so every parked page is still owed.
-            self.drain_scratch = std::mem::replace(&mut self.write_behind, writes);
-            self.write_results = write_results;
+            read_start,
+            read_count,
+            &mut self.write_results,
+            read_out,
+        ) {
+            // Pre-flight failure: the batch never reached the disk, so
+            // every parked page is still owed.
+            self.write_behind = writes;
             return Err(e.into());
         }
-        fs.disk_mut().note_write_behind(writes.len() as u64);
-        self.medium_epoch = fs.disk().write_epoch();
-        let result = self.repark_failed(fs, &writes, &mut write_results);
-        writes.clear();
-        self.drain_scratch = writes;
-        self.write_results = write_results;
-        result
-    }
-
-    /// Puts any page whose drain write failed back in the write-behind
-    /// buffer and reports the first failure. A failed write must not be
-    /// silently dropped with the drained batch: the page stays owed to the
-    /// medium and surfaces again on the next drain, `flush` or `close` if
-    /// it is still undeliverable.
-    fn repark_failed(
-        &mut self,
-        fs: &mut FileSystem<D>,
-        writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
-        results: &mut Vec<Result<Label, FsError>>,
-    ) -> Result<(), StreamError> {
-        let mut first_err = None;
-        for (w, r) in writes.iter().zip(results.drain(..)) {
-            match r {
-                Ok(_) => fs.disk_mut().note_unpark(w.1, w.0, UnparkOutcome::Drained),
-                Err(e) => {
-                    fs.disk_mut().note_unpark(w.1, w.0, UnparkOutcome::Reparked);
-                    self.write_behind.push(*w);
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
+        if !writes.is_empty() {
+            fs.disk_mut().note_write_behind(writes.len() as u64);
         }
+        self.medium_epoch = fs.disk().write_epoch();
+        let mut first_err = None;
+        let mut results = self.write_results.drain(..);
+        writes.retain(|&(page, da, _)| match results.next() {
+            Some(Err(e)) => {
+                fs.disk_mut().note_unpark(da, page, UnparkOutcome::Reparked);
+                first_err.get_or_insert(e);
+                true
+            }
+            _ => {
+                fs.disk_mut().note_unpark(da, page, UnparkOutcome::Drained);
+                false
+            }
+        });
+        self.write_behind = writes;
         match first_err {
             Some(e) => Err(e.into()),
             None => Ok(()),
@@ -339,11 +356,18 @@ impl<D: Disk> DiskByteStream<D> {
     /// The shared page-crossing step of [`Self::get_byte`],
     /// [`Self::put_byte`] and the bulk slice paths: hands the current page
     /// to the write-behind buffer (or flushes it) and advances to the next
-    /// page of the chain.
-    fn advance_to_next_page(&mut self, fs: &mut FileSystem<D>) -> Result<(), StreamError> {
+    /// page of the chain. `extent` is how many pages the caller still has
+    /// to fill, this next one included, and `hold` how many parked pages
+    /// buffer pressure allows (see [`Self::advance_page`]).
+    fn advance_to_next_page(
+        &mut self,
+        fs: &mut FileSystem<D>,
+        extent: usize,
+        hold: usize,
+    ) -> Result<(), StreamError> {
         self.park_or_flush(fs)?;
         let (next_page, next_da) = (self.page + 1, self.label.next);
-        self.advance_page(fs, next_page, next_da)
+        self.advance_page(fs, next_page, next_da, extent, hold)
     }
 
     fn check_open(&self) -> Result<(), StreamError> {
@@ -354,129 +378,115 @@ impl<D: Disk> DiskByteStream<D> {
         }
     }
 
+    /// Makes `page` the current page, positioned at its first byte.
+    fn enter_page(&mut self, page: u16, da: DiskAddress, label: Label, buffer: [u16; DATA_WORDS]) {
+        self.page = page;
+        self.da = da;
+        self.label = label;
+        self.buffer = buffer;
+        self.offset = 0;
+    }
+
     fn load_page(
         &mut self,
         fs: &mut FileSystem<D>,
         page: u16,
         da: DiskAddress,
     ) -> Result<(), StreamError> {
-        let pn = PageName::new(self.file.fv, page, da);
-        let (label, buffer) = fs.read_page(pn)?;
-        self.page = page;
-        self.da = da;
-        self.label = label;
-        self.buffer = buffer;
-        self.offset = 0;
+        let (label, buffer) = fs.read_page(PageName::new(self.file.fv, page, da))?;
+        self.enter_page(page, da, label, buffer);
         Ok(())
     }
 
     /// Moves to `(page, da)`, serving from the readahead buffer when it is
     /// still fresh and refilling it with a chained guessed batch (§3.6)
-    /// when the leader hints the file is consecutively laid out. A refill
-    /// drains the write-behind buffer in the *same* batch: in the steady
-    /// sequential-write state one command set-up and one rotational
-    /// schedule cover [`WRITE_BEHIND_PAGES`] writes behind the cursor plus
-    /// [`READAHEAD_PAGES`] reads ahead of it.
+    /// when the leader hints the file is consecutively laid out.
+    ///
+    /// A refill reads `extent` pages — the caller's remaining need — capped
+    /// by the leader's last-page hints and never fewer than
+    /// [`READAHEAD_PAGES`]. It drains the write-behind buffer in the *same*
+    /// batch, so one command set-up and one rotational schedule cover the
+    /// writes behind the cursor plus the reads ahead of it. A crossing
+    /// served from memory drains first once `hold` pages are parked: the
+    /// floor of [`WRITE_BEHIND_PAGES`], raised by a bulk write to the number
+    /// of pages it crosses out of.
     fn advance_page(
         &mut self,
         fs: &mut FileSystem<D>,
         page: u16,
         da: DiskAddress,
+        extent: usize,
+        hold: usize,
     ) -> Result<(), StreamError> {
         // A *foreign* write to the medium since this stream's last drain or
         // refill may have moved, freed or rewritten the buffered pages:
         // drop the prefetched copies, and get the parked pages to their
         // label checks promptly (the checks arbitrate any conflict).
         if fs.disk().write_epoch() != self.medium_epoch {
-            self.readahead.clear();
+            self.ahead = 0..0;
             self.drain(fs)?;
         }
-        if let Some(i) = self.readahead.iter().position(|e| e.0 == page && e.1 == da) {
+        // A hit may lie past the front of the readahead: the entries
+        // before it were stepped over by a seek.
+        let j = usize::from(page.wrapping_sub(self.refill_start.page));
+        let guessed = DiskAddress(self.refill_start.da.0.wrapping_add(j as u16));
+        if self.ahead.contains(&j) && da == guessed {
             // Buffer pressure: drain before yet another page parks. The
             // prefetched copies survive the stream's own drain — the parked
             // pages lie behind the cursor, the prefetched ones ahead.
-            if self.write_behind.len() >= WRITE_BEHIND_PAGES {
+            if self.write_behind.len() >= hold {
                 self.drain(fs)?;
             }
-            let (p, d, label, buffer) = self.readahead.remove(i);
-            fs.disk_mut().note_readahead(1, 0);
-            self.page = p;
-            self.da = d;
-            self.label = label;
-            self.buffer = buffer;
-            self.offset = 0;
-            return Ok(());
-        }
-        self.readahead.clear();
-        if self.consecutive_hint {
-            let mut writes = std::mem::replace(
-                &mut self.write_behind,
-                std::mem::take(&mut self.drain_scratch),
-            );
-            let mut write_results = std::mem::take(&mut self.write_results);
-            let mut entries = std::mem::take(&mut self.read_results);
-            match alto_fs::page::drain_and_prefetch_into(
-                fs.disk_mut(),
-                self.file.fv,
-                &writes,
-                Some(PageName::new(self.file.fv, page, da)),
-                READAHEAD_PAGES,
-                &mut write_results,
-                &mut entries,
-            ) {
-                Ok(()) => {
-                    if !writes.is_empty() {
-                        fs.disk_mut().note_write_behind(writes.len() as u64);
-                    }
-                    self.medium_epoch = fs.disk().write_epoch();
-                    let reparked = self.repark_failed(fs, &writes, &mut write_results);
-                    writes.clear();
-                    self.drain_scratch = writes;
-                    self.write_results = write_results;
-                    reparked?;
-                    let mut drained = entries.drain(..);
-                    let first = drained.next();
-                    if let Some(Ok((label, buffer))) = first {
-                        // Keep followers only while the verified links
-                        // confirm the guessed consecutive run.
-                        let mut expect_next = label.next;
-                        let mut prefetched = 0u64;
-                        for (j, entry) in drained.enumerate() {
-                            let Ok((l, d)) = entry else { break };
-                            let guess = DiskAddress(da.0.wrapping_add(j as u16 + 1));
-                            if expect_next != guess {
-                                break;
-                            }
-                            self.readahead.push((page + j as u16 + 1, guess, l, d));
-                            prefetched += 1;
-                            expect_next = l.next;
-                        }
-                        self.read_results = entries;
-                        if prefetched > 0 {
-                            fs.disk_mut().note_readahead(0, prefetched);
-                        }
-                        self.page = page;
-                        self.da = da;
-                        self.label = label;
-                        self.buffer = buffer;
-                        self.offset = 0;
-                        return Ok(());
-                    }
-                    drop(drained);
-                    self.read_results = entries;
-                    // Entry 0 failed: the hint chain is authoritative
-                    // there, so let the ordinary path (with its hint
-                    // recovery) handle it. The drain already happened.
-                }
-                Err(e) => {
-                    // The batch never reached the disk (pre-flight error):
-                    // nothing landed, so the parked pages are still owed.
-                    self.drain_scratch = std::mem::replace(&mut self.write_behind, writes);
-                    self.write_results = write_results;
-                    self.read_results = entries;
-                    return Err(e.into());
-                }
+            if let Some(&Ok((label, buffer))) = self.read_results.get(j) {
+                self.ahead.start = j + 1;
+                fs.disk_mut().note_readahead(1, 0);
+                self.enter_page(page, da, label, buffer);
+                return Ok(());
             }
+        }
+        self.ahead = 0..0;
+        if self.consecutive_hint {
+            // Reach for the hinted last page only when its hinted address
+            // lies where a straight run from here would put it: past a
+            // seam every guess fails its check, and each failure halts
+            // the chain.
+            let last = self.last_page_hint;
+            let hinted = match last.page.checked_sub(page) {
+                Some(ahead) if last.da.0 == da.0.wrapping_add(ahead) => usize::from(ahead) + 1,
+                _ => 0,
+            };
+            let count = extent.min(hinted).max(READAHEAD_PAGES.into());
+            let count = u16::try_from(count).unwrap_or(u16::MAX);
+            // Room for the whole refill up front: one allocation at most,
+            // not a series of doublings.
+            self.read_results.clear();
+            self.read_results.reserve(count.into());
+            let start = PageName::new(self.file.fv, page, da);
+            self.chain(fs, Some(start), count)?;
+            if let Some(&Ok((label, buffer))) = self.read_results.first() {
+                // Keep followers only while the verified links confirm the
+                // guessed consecutive run.
+                let mut expect_next = label.next;
+                let mut end = 1;
+                for (j, entry) in self.read_results.iter().enumerate().skip(1) {
+                    let Ok((l, _)) = entry else { break };
+                    if expect_next != DiskAddress(da.0.wrapping_add(j as u16)) {
+                        break;
+                    }
+                    expect_next = l.next;
+                    end = j + 1;
+                }
+                self.refill_start = start;
+                self.ahead = 1..end;
+                if end > 1 {
+                    fs.disk_mut().note_readahead(0, end as u64 - 1);
+                }
+                self.enter_page(page, da, label, buffer);
+                return Ok(());
+            }
+            // Entry 0 failed: the hint chain is authoritative there, so let
+            // the ordinary path (with its hint recovery) handle it. The
+            // drain already happened.
         }
         self.drain(fs)?;
         self.load_page(fs, page, da)
@@ -513,7 +523,7 @@ impl<D: Disk> DiskByteStream<D> {
             if (self.label.length as usize) < PAGE_BYTES || self.label.next.is_nil() {
                 return Err(StreamError::EndOfStream);
             }
-            self.advance_to_next_page(fs)?;
+            self.advance_to_next_page(fs, 0, WRITE_BEHIND_PAGES)?;
         }
     }
 
@@ -525,7 +535,7 @@ impl<D: Disk> DiskByteStream<D> {
             if self.label.next.is_nil() {
                 self.extend(fs)?;
             } else {
-                self.advance_to_next_page(fs)?;
+                self.advance_to_next_page(fs, 0, WRITE_BEHIND_PAGES)?;
             }
         }
         self.set_byte(self.offset, b);
@@ -592,7 +602,9 @@ impl<D: Disk> DiskByteStream<D> {
 
     /// Reads up to `out.len()` bytes, moving whole runs out of the page
     /// buffer with slice copies instead of per-byte dispatch — the bulk
-    /// fast path. Short only at the end of the stream.
+    /// fast path. Short only at the end of the stream. Each page crossing
+    /// refills the readahead with every page `out` still has room for, so
+    /// a whole-file read is one chained batch.
     pub fn read_bytes(
         &mut self,
         fs: &mut FileSystem<D>,
@@ -606,7 +618,8 @@ impl<D: Disk> DiskByteStream<D> {
                 if (self.label.length as usize) < PAGE_BYTES || self.label.next.is_nil() {
                     break;
                 }
-                self.advance_to_next_page(fs)?;
+                let extent = (out.len() - done).div_ceil(PAGE_BYTES);
+                self.advance_to_next_page(fs, extent, WRITE_BEHIND_PAGES)?;
                 continue;
             }
             let n = avail.min(out.len() - done);
@@ -618,18 +631,48 @@ impl<D: Disk> DiskByteStream<D> {
     }
 
     /// Writes all of `bytes`, moving whole runs into the page buffer with
-    /// slice copies. Page crossings ride the same write-behind machinery
-    /// as [`Self::put_byte`], so a long sequential write drains in chained
-    /// batches.
+    /// slice copies. Page crossings ride the same readahead and
+    /// write-behind machinery as [`Self::put_byte`], sized by the call: a
+    /// crossing refills with every page still to be rewritten, and the
+    /// pages the call parks are held until it ends, then drained as one
+    /// chained batch, so it returns with at most `WRITE_BEHIND_PAGES`
+    /// parked.
     pub fn write_bytes(&mut self, fs: &mut FileSystem<D>, bytes: &[u8]) -> Result<(), StreamError> {
         self.check_open()?;
+        // One park per page the call crosses out of: that is its buffer
+        // pressure, and the room the parks need.
+        let crossings = (self.offset + bytes.len())
+            .div_ceil(PAGE_BYTES)
+            .saturating_sub(1);
+        self.write_behind.reserve(crossings);
+        let copied = self.copy_into_pages(fs, bytes, crossings.max(WRITE_BEHIND_PAGES));
+        // Also after a failed copy: no call leaves more than the floor
+        // parked, so a crash after it returns loses no more than a byte
+        // writer's would.
+        let drained = if self.write_behind.len() > WRITE_BEHIND_PAGES {
+            self.drain(fs)
+        } else {
+            Ok(())
+        };
+        copied.and(drained)
+    }
+
+    /// The copy loop of [`Self::write_bytes`]; `hold` is the buffer
+    /// pressure its crossings allow.
+    fn copy_into_pages(
+        &mut self,
+        fs: &mut FileSystem<D>,
+        bytes: &[u8],
+        hold: usize,
+    ) -> Result<(), StreamError> {
         let mut done = 0;
         while done < bytes.len() {
             if self.offset == PAGE_BYTES {
                 if self.label.next.is_nil() {
                     self.extend(fs)?;
                 } else {
-                    self.advance_to_next_page(fs)?;
+                    let extent = (bytes.len() - done).div_ceil(PAGE_BYTES);
+                    self.advance_to_next_page(fs, extent, hold)?;
                 }
             }
             let n = (PAGE_BYTES - self.offset).min(bytes.len() - done);
@@ -671,6 +714,7 @@ impl<D: Disk> DiskByteStream<D> {
         self.label_changed = false;
         self.resized = true;
         self.page += 1;
+        self.last_page_hint = PageName::new(self.file.fv, self.page, new_da);
         self.da = new_da;
         self.label = new_label;
         self.buffer = [0; DATA_WORDS];
@@ -919,8 +963,18 @@ mod tests {
         // Seek to the very end: valid position, instant end-of-stream.
         s.set_position(&mut fs, 2000).unwrap();
         assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
-        // Past the end: error.
-        assert!(s.set_position(&mut fs, 3000).is_err());
+        // Past the end: an error that leaves the cursor where it was — also
+        // when the target page exists and only the offset lies past its
+        // length (page 4 holds 464 bytes; 2010 is its byte 474).
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        for _ in 0..4 {
+            s.get_byte(&mut fs).unwrap();
+        }
+        for past in [3000, 2010] {
+            assert!(s.set_position(&mut fs, past).is_err());
+            assert_eq!(s.position(), 4, "after the failed seek to {past}");
+        }
+        assert_eq!(s.get_byte(&mut fs).unwrap(), 4);
     }
 
     #[test]
@@ -1015,26 +1069,93 @@ mod tests {
         assert_eq!(stats.readahead_hits, 3);
     }
 
+    /// Reads to the end of the stream, one byte at a time or in one bulk
+    /// call, and returns what it got.
+    fn read_rest(s: &mut DiskByteStream<DiskDrive>, fs: &mut Fs, bulk: bool) -> Vec<u8> {
+        let mut rest = Vec::new();
+        if bulk {
+            rest.resize(64 * PAGE_BYTES, 0);
+            let n = s.read_bytes(fs, &mut rest).unwrap();
+            rest.truncate(n);
+        } else {
+            loop {
+                match s.get_byte(fs) {
+                    Ok(b) => rest.push(b),
+                    Err(StreamError::EndOfStream) => break,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+        rest
+    }
+
+    /// Moves page `k` of `f` to a free sector far away and relinks its
+    /// neighbours, leaving the leader's maybe-consecutive hint stale.
+    fn relocate(fs: &mut Fs, f: FileFullName, k: u16) {
+        let mut pages = Vec::new();
+        let mut da = fs.open_leader(f).unwrap().0.next;
+        for page in 1..=k + 1 {
+            let (label, data) = fs.read_page(PageName::new(f.fv, page, da)).unwrap();
+            pages.push((da, label, data));
+            da = label.next;
+        }
+        let (old_da, label, data) = pages[k as usize - 1];
+        let new_da = fs
+            .allocate_page(Some(DiskAddress(old_da.0 + 1000)), label, &data)
+            .unwrap();
+        for (page, i) in [(k - 1, k as usize - 2), (k + 1, k as usize)] {
+            let (da, mut label, data) = pages[i];
+            if page < k {
+                label.next = new_da;
+            } else {
+                label.prev = new_da;
+            }
+            alto_fs::page::rewrite_label(
+                fs.disk_mut(),
+                PageName::new(f.fv, page, da),
+                label,
+                &data,
+            )
+            .unwrap();
+        }
+        fs.free_page(PageName::new(f.fv, k, old_da)).unwrap();
+    }
+
     #[test]
     fn readahead_is_dropped_when_the_file_is_rewritten() {
-        let mut fs = fresh_fs();
-        let f = file_named(&mut fs, "fresh.dat");
-        let old: Vec<u8> = vec![1; 2500];
-        let new: Vec<u8> = vec![2; 2500];
-        fs.write_file(f, &old).unwrap();
-        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
-        // Read pages 1-2 exactly; crossing into page 2 prefetched 3..5.
-        for _ in 0..1024 {
-            s.get_byte(&mut fs).unwrap();
+        // Byte reads, then two bulk calls with the rewrite between them.
+        for (len, bulk) in [(2500, false), (12 * PAGE_BYTES, true)] {
+            let mut fs = fresh_fs();
+            let f = file_named(&mut fs, "fresh.dat");
+            let new = vec![2u8; len];
+            fs.write_file(f, &vec![1u8; len]).unwrap();
+            let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+            // Read pages 1-2 exactly; crossing into page 2 prefetched 3..5.
+            let mut head = [0u8; 1024];
+            if bulk {
+                assert_eq!(s.read_bytes(&mut fs, &mut head).unwrap(), 1024);
+            } else {
+                for b in &mut head {
+                    *b = s.get_byte(&mut fs).unwrap();
+                }
+            }
+            assert_eq!(fs.disk().stats().readahead_prefetched, 3);
+            // Rewrite the whole file behind the stream's back (same pages,
+            // same addresses — a cache keyed by address alone would go
+            // stale).
+            fs.write_file(f, &new).unwrap();
+            // Everything from the next page crossing on must be the new
+            // data; the second bulk call refills deep, pages 3..12 in one
+            // chain.
+            assert_eq!(
+                read_rest(&mut s, &mut fs, bulk),
+                &new[1024..],
+                "bulk {bulk}"
+            );
+            if bulk {
+                assert_eq!(fs.disk().stats().readahead_prefetched, 3 + 9);
+            }
         }
-        // Rewrite the whole file behind the stream's back (same pages, same
-        // addresses — a cache keyed by address alone would go stale).
-        fs.write_file(f, &new).unwrap();
-        // Everything from the next page crossing on must be the new data.
-        for (i, &want) in new.iter().enumerate().skip(1024) {
-            assert_eq!(s.get_byte(&mut fs).unwrap(), want, "byte {i}");
-        }
-        assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
     }
 
     #[test]
@@ -1051,10 +1172,60 @@ mod tests {
         fs.write_file(f, &new).unwrap();
         // Page 3 must come back fresh — and the stream must end there, not
         // run on through the stale (now freed) pages 4 and 5.
-        for (i, &want) in new.iter().enumerate().skip(1024) {
-            assert_eq!(s.get_byte(&mut fs).unwrap(), want, "byte {i}");
-        }
-        assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
+        assert_eq!(read_rest(&mut s, &mut fs, false), &new[1024..]);
+
+        // A bulk read across a broken consecutive run: page 6 of 12 moved
+        // away while the leader still hints the file is consecutive.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "broken.dat");
+        let bytes: Vec<u8> = (0..12 * PAGE_BYTES as u32)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        fs.write_file(f, &bytes).unwrap();
+        relocate(&mut fs, f, 6);
+        assert!(fs.read_leader(f).unwrap().maybe_consecutive);
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        assert_eq!(read_rest(&mut s, &mut fs, true), bytes);
+        // The refill into page 2 guessed pages 2..12 but kept its followers
+        // only up to the break (3..5, not 7..12, though those labels
+        // check); page 6 came alone, and the refill into 7 read on to the
+        // end.
+        let stats = fs.disk().stats();
+        assert_eq!(stats.readahead_prefetched, 3 + 5);
+        assert_eq!(stats.readahead_hits, 3 + 5);
+    }
+
+    #[test]
+    fn bulk_refill_stops_short_of_a_seam() {
+        // Ten pages, another file right behind them, then twenty pages
+        // appended through a stream: the new pages start past the other
+        // file, while the leader still says maybe-consecutive.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "seam.dat");
+        fs.write_file(f, &vec![1u8; 10 * PAGE_BYTES]).unwrap();
+        let g = file_named(&mut fs, "behind.dat");
+        fs.write_file(g, &vec![2u8; 5 * PAGE_BYTES]).unwrap();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        s.set_position(&mut fs, 10 * PAGE_BYTES as u64 - 1).unwrap();
+        s.get_byte(&mut fs).unwrap();
+        s.write_bytes(&mut fs, &vec![3u8; 20 * PAGE_BYTES]).unwrap();
+        s.close(&mut fs).unwrap();
+        assert!(fs.read_leader(f).unwrap().maybe_consecutive);
+        let mut want = vec![1u8; 10 * PAGE_BYTES];
+        want.extend_from_slice(&[3u8; 20 * PAGE_BYTES]);
+        let before = fs.disk().stats();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        assert_eq!(read_rest(&mut s, &mut fs, true), want);
+        // The hinted last address does not lie where a straight run from
+        // page 2 would put it, so the refills into 2, 6 and 10 read the
+        // floor and only its three guesses past page 10 fail. From page 11
+        // the run is straight: one refill reads on to page 30.
+        let after = fs.disk().stats();
+        assert_eq!(after.failed_checks - before.failed_checks, 3);
+        assert_eq!(
+            after.readahead_prefetched - before.readahead_prefetched,
+            3 + 3 + 19
+        );
     }
 
     #[test]

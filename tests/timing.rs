@@ -19,6 +19,57 @@ fn e1_band_64k_words_in_about_a_second() {
     assert!((0.8..1.8).contains(&dt), "64K words took {dt:.2} s");
 }
 
+/// Simulated seconds `op` takes on `fs`'s clock.
+fn timed(fs: &mut FileSystem<DiskDrive>, op: impl FnOnce(&mut FileSystem<DiskDrive>)) -> f64 {
+    let clock = fs.disk().clock().clone();
+    let t0 = clock.now();
+    op(fs);
+    (clock.now() - t0).as_secs_f64()
+}
+
+/// E1, stream path — a whole-file `read_bytes` through the §2 disk stream
+/// chains its pages end to end, so it moves E1's 64K words no slower than
+/// `read_file` does.
+#[test]
+fn e1_band_stream_read_keeps_up_with_read_file() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let f = consecutive_file(&mut fs, "rate.dat", 256);
+    let file = timed(&mut fs, |fs| {
+        fs.read_file(f).unwrap();
+    });
+    let mut buf = vec![0u8; 256 * 512];
+    let stream = timed(&mut fs, |fs| {
+        let mut s = DiskByteStream::open(fs, f).unwrap();
+        assert_eq!(s.read_bytes(fs, &mut buf).unwrap(), buf.len());
+        s.close(fs).unwrap();
+    });
+    assert!(
+        stream <= file,
+        "stream read {stream:.3} s vs read_file {file:.3} s"
+    );
+}
+
+/// E1, stream path — a same-length whole-file `write_bytes` plus `close`
+/// (which reads every page before rewriting it) stays under 1.9x
+/// `write_file`'s time for E1's 64K words.
+#[test]
+fn e1_band_stream_rewrite_within_1_9x_write_file() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let f = consecutive_file(&mut fs, "rate.dat", 256);
+    let bytes = vec![0x3Cu8; 256 * 512];
+    let file = timed(&mut fs, |fs| fs.write_file(f, &bytes).unwrap());
+    let stream = timed(&mut fs, |fs| {
+        let mut s = DiskByteStream::open(fs, f).unwrap();
+        s.write_bytes(fs, &bytes).unwrap();
+        s.close(fs).unwrap();
+    });
+    assert!(
+        stream < 1.9 * file,
+        "stream rewrite {stream:.3} s vs write_file {file:.3} s"
+    );
+    assert_eq!(fs.read_file(f).unwrap(), bytes);
+}
+
 /// E2 — scavenging a 2.5 MB disk takes tens of seconds ("about a minute",
 /// §3.5). Two sweeps: the full label scan (flat) plus the link-check pass
 /// over live sectors (grows mildly with utilization).

@@ -134,6 +134,45 @@ fn crash_with_parked_pages_recovers_clean() {
 }
 
 #[test]
+fn crash_after_a_bulk_write_recovers_clean() {
+    // The stream's write-behind floor: a call returns with at most this
+    // many pages parked, plus its current dirty page.
+    const PARKED_AT_MOST: usize = 4;
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    // Rewrite the first 20 pages of a 24-page file in one call and crash
+    // the moment it returns: the call held its parks until it ended, so
+    // only its tail can still be off the medium.
+    let f = consecutive_file(&mut fs, "bulk.dat", 24);
+    let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+    s.write_bytes(&mut fs, &vec![0x77u8; 20 * PAGE]).unwrap();
+    let disk = fs.crash();
+    let (mut fs, _report) = Scavenger::rebuild(disk).unwrap();
+
+    let root = fs.root_dir();
+    let f = dir::lookup(&mut fs, root, "bulk.dat").unwrap().unwrap();
+    let bytes = fs.read_file(f).unwrap();
+    // The structure is intact: all 24 pages, correctly linked, each page
+    // wholly old or wholly new.
+    assert_eq!(bytes.len(), 24 * PAGE);
+    let new_pages = bytes
+        .chunks(PAGE)
+        .take_while(|p| p.iter().all(|&b| b == 0x77))
+        .count();
+    assert!(
+        new_pages >= 20 - (PARKED_AT_MOST + 1),
+        "only {new_pages} of the 20 rewritten pages reached the medium"
+    );
+    for (i, page) in bytes.chunks(PAGE).enumerate().skip(new_pages) {
+        assert!(
+            page.iter().all(|&b| b == 0xA5),
+            "page {} is neither wholly new nor wholly old",
+            i + 1
+        );
+    }
+    assert!(new_pages <= 20);
+}
+
+#[test]
 fn a_second_reader_never_sees_stale_data_after_a_drain() {
     let mut fs = fresh_fs(DiskModel::Diablo31);
     let f = consecutive_file(&mut fs, "mix.dat", 8);
