@@ -33,42 +33,9 @@ use alto_net::{ClientConfig, ClientFleet, Ether, PageServer};
 use alto_os::FsPageService;
 use alto_sim::{SimClock, SimTime, Trace};
 
-// Same counting allocator as the wall bench: allocs/request needs a real
-// counter. Delegates every call to `System` unchanged.
-#[allow(unsafe_code)]
-mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct Counting;
-
-    pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the counter bump has no
-    // effect on the returned memory.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-    }
-}
+// Counts heap allocations, so the bench can report allocations per request.
+#[path = "../alloc_count.rs"]
+mod alloc_count;
 
 #[global_allocator]
 static ALLOC: alloc_count::Counting = alloc_count::Counting;

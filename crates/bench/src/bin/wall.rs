@@ -33,47 +33,10 @@ use alto_fs::FileSystem;
 use alto_sim::{SimClock, SplitMix64, Trace};
 use alto_streams::{DiskByteStream, Stream};
 
-// A counting global allocator so the bench can report allocations per
-// sector operation — the "steady-state ops allocate nothing" claim needs a
-// real counter, not inference. This is the one place in the workspace that
-// opts out of the `unsafe_code` deny: the impl delegates every call
-// straight to `System` and only adds a relaxed counter bump, and it lives
-// in a bench binary, never in a library the system links.
-#[allow(unsafe_code)]
-mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Total allocation events (alloc + realloc + alloc_zeroed) so far.
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct Counting;
-
-    pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the counter bump has no
-    // effect on the returned memory.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-    }
-}
+// Counts heap allocations, so the bench can report allocations per sector
+// operation.
+#[path = "../alloc_count.rs"]
+mod alloc_count;
 
 #[global_allocator]
 static ALLOC: alloc_count::Counting = alloc_count::Counting;

@@ -8,8 +8,6 @@
 //! scratch vector has its steady-state capacity, and then whole batches are
 //! issued with the allocation counter watched across each path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use alto_disk::{
     pool, BatchRequest, Disk, DiskAddress, DiskDrive, DiskModel, SectorBuf, SectorOp, WriteSource,
 };
@@ -20,47 +18,14 @@ use alto_os::FsPageService;
 use alto_sim::{SimClock, SimTime, Trace};
 use alto_streams::{DiskByteStream, Stream};
 
-// The one other place in the workspace that opts out of the `unsafe_code`
-// deny, for the same reason as the wall bench's counter: the impl forwards
-// every call unchanged to `System` and only bumps a relaxed counter.
-#[allow(unsafe_code)]
-mod alloc_count {
-    use super::AtomicU64;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::Ordering;
-
-    pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    pub struct Counting;
-
-    // SAFETY: every method forwards its arguments unchanged to `System`,
-    // which upholds the `GlobalAlloc` contract; the counter bump has no
-    // effect on the returned memory.
-    unsafe impl GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout);
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-    }
-}
+// Counts heap allocations: the counter every phase below watches.
+#[path = "../src/alloc_count.rs"]
+mod alloc_count;
 
 #[global_allocator]
 static ALLOC: alloc_count::Counting = alloc_count::Counting;
 
-fn allocs() -> u64 {
-    alloc_count::ALLOCS.load(Ordering::Relaxed)
-}
+use alloc_count::allocs;
 
 const BATCH: u16 = 256;
 const ROUNDS: usize = 32;

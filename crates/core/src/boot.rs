@@ -12,10 +12,10 @@
 
 use alto_disk::{Disk, DiskAddress, Label, DATA_WORDS};
 use alto_fs::descriptor::{boot_fv, BOOT_PAGE_DA};
-use alto_fs::file::{bytes_to_words, unpack_bytes, words_to_bytes};
+use alto_fs::file::{bytes_to_words, data_length, unpack_bytes, words_to_bytes};
 use alto_fs::leader::LeaderPage;
 use alto_fs::names::{FileFullName, PageName};
-use alto_fs::{dir, page};
+use alto_fs::{dir, page, FsError};
 use alto_machine::state::MachineState;
 
 use crate::errors::OsError;
@@ -106,40 +106,37 @@ impl<D: Disk> AltoOs<D> {
         }
         let fv = alto_fs::names::Fv::from_label(&label);
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
+        bytes.extend_from_slice(&unpack_bytes(&data)[..data_length(&label)?]);
         // Installs lay the state image out consecutively, so the boot
         // loader makes the §3.6 guess: batch reads at next, next+1, … and
         // let each sector's label check reject a wrong guess. The links in
         // the captured labels steer recovery, so a scattered boot file
         // still loads — it just pays a revolution per jump.
         const BOOT_GUESS: u16 = 32;
+        let mut reads = Vec::new();
         let mut next = label.next;
         let mut page_no = 1u16;
-        'chain: while !next.is_nil() {
-            let first = next;
-            let results = page::read_pages_guessed(
+        while !next.is_nil() {
+            let start = PageName::new(fv, page_no + 1, next);
+            page::transfer(
                 disk,
                 fv,
-                PageName::new(fv, page_no + 1, first),
+                &[],
+                Some(start),
                 BOOT_GUESS,
+                &mut Vec::new(),
+                &mut reads,
             )?;
-            for (j, res) in results.into_iter().enumerate() {
-                match res {
-                    Ok((label, data)) => {
-                        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
-                        page_no += 1;
-                        next = label.next;
-                        let guessed = DiskAddress(first.0.wrapping_add(j as u16 + 1));
-                        if next.is_nil() || next != guessed {
-                            continue 'chain;
-                        }
-                    }
-                    // Entry 0's address came from a real link; its failure
-                    // is authoritative. Later entries were guesses.
-                    Err(e) if j == 0 => return Err(e.into()),
-                    Err(_) => continue 'chain,
-                }
+            let run = page::confirmed_run(start, &reads);
+            // Entry 0's address came from a real link, so its failure is
+            // authoritative. Wherever the run ends, the next batch starts
+            // from the last verified link.
+            for res in &reads[..run.max(1)] {
+                let (label, data) = res.as_ref().map_err(FsError::clone)?;
+                bytes.extend_from_slice(&unpack_bytes(data)[..data_length(label)?]);
+                next = label.next;
             }
+            page_no += run as u16;
         }
         let state = MachineState::decode(&bytes_to_words(&bytes))?;
         state.restore(&mut self.machine);
@@ -253,6 +250,33 @@ mod tests {
             os.bootstrap(),
             Err(OsError::Fs(alto_fs::FsError::Corrupt { .. }))
         ));
+    }
+
+    #[test]
+    fn bootstrap_refuses_a_boot_page_label_longer_than_a_page() {
+        // The label check matches only the absolutes, so a smashed length
+        // word reaches the loader, on the raw-read page 1 and on a guessed
+        // page alike: it must refuse the page, not slice past its data.
+        let mut os = os();
+        os.install_boot_file().unwrap();
+        let pack = os.fs.disk().pack().unwrap();
+        let next = |da| pack.sector(da).unwrap().decoded_label().next;
+        // Page 3 is the first guessed follower of the loader's first batch.
+        let page3 = next(next(BOOT_PAGE_DA));
+        for da in [BOOT_PAGE_DA, page3] {
+            let set_length = |os: &mut AltoOs, length| {
+                let pack = os.fs.disk_mut().pack_mut().unwrap();
+                std::mem::replace(&mut pack.sector_mut(da).unwrap().label[4], length)
+            };
+            let good = set_length(&mut os, 600);
+            assert_eq!(
+                os.bootstrap(),
+                Err(OsError::Fs(FsError::BadLength(600))),
+                "length smashed at {da}"
+            );
+            set_length(&mut os, good);
+        }
+        os.bootstrap().unwrap();
     }
 
     #[test]

@@ -29,8 +29,9 @@
 use alto_disk::{Disk, DiskAddress};
 
 use crate::errors::FsError;
-use crate::file::PAGE_BYTES;
-use crate::file::{bytes_to_words, unpack_bytes, words_to_bytes, CacheLookup, FileSystem};
+use crate::file::{
+    bytes_to_words, data_length, unpack_bytes, words_to_bytes, CacheLookup, FileSystem,
+};
 use crate::leader::MAX_LEADER_NAME;
 use crate::names::{FileFullName, Fv, PageName, SerialNumber};
 
@@ -186,10 +187,7 @@ fn scan_for_name<D: Disk>(
     let mut budget = fs.disk().geometry()?.sector_count() + 2;
     loop {
         let (label, data) = fs.read_page(pn)?;
-        if label.length as usize > PAGE_BYTES {
-            return Err(FsError::BadLength(label.length));
-        }
-        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
+        bytes.extend_from_slice(&unpack_bytes(&data)[..data_length(&label)?]);
         // Parse what has arrived so far; an entry cut off at the page
         // boundary looks malformed, stops the parse, and is retried whole
         // when the next page's bytes land.

@@ -79,9 +79,9 @@ pub struct FileSystem<D: Disk> {
     desc: DiskDescriptor,
     stats: FsStats,
     cache: HintCache,
-    /// Page images staged for one guessed write batch of `write_file`,
-    /// kept across calls so a warm rewrite allocates nothing.
-    write_chunks: Vec<[u16; DATA_WORDS]>,
+    /// The `(page, da, data)` writes of one guessed batch of
+    /// `write_file`, kept across calls so a warm rewrite allocates nothing.
+    write_pages: Vec<(u16, DiskAddress, [u16; DATA_WORDS])>,
     /// The labels that batch captured, likewise reused.
     write_labels: Vec<Result<Label, FsError>>,
 }
@@ -161,7 +161,7 @@ impl<D: Disk> FileSystem<D> {
             desc,
             stats: FsStats::default(),
             cache: HintCache::new(),
-            write_chunks: Vec::new(),
+            write_pages: Vec::new(),
             write_labels: Vec::new(),
         }
     }
@@ -838,7 +838,7 @@ impl<D: Disk> FileSystem<D> {
         if leader.maybe_consecutive && file.fv.serial.words()[1] != 0 {
             // Staging and result vectors live on the file system and are
             // reused across batches: a warm rewrite allocates nothing here.
-            let chunks = &mut self.write_chunks;
+            let writes = &mut self.write_pages;
             let labels = &mut self.write_labels;
             'batched: while n < new_pages && !da.is_nil() {
                 // Only full, already-existing pages belong in a batch:
@@ -851,27 +851,31 @@ impl<D: Disk> FileSystem<D> {
                 if count == 0 {
                     break;
                 }
-                chunks.clear();
+                // Guessed consecutive addresses after the real link `da`.
+                writes.clear();
                 for j in 0..count {
                     let start = (n + j - 1) as usize * PAGE_BYTES;
                     let mut data = [0u16; DATA_WORDS];
                     pack_bytes(&bytes[start..start + PAGE_BYTES], &mut data);
-                    chunks.push(data);
+                    writes.push((n + j, DiskAddress(da.0.wrapping_add(j)), data));
                 }
-                page::write_pages_guessed(
+                page::transfer(
                     &mut self.disk,
                     file.fv,
-                    PageName::new(file.fv, n, da),
-                    chunks,
+                    writes,
+                    None,
+                    0,
                     labels,
+                    &mut Vec::new(),
                 )?;
                 // True when the batch ended on a good link and the next
                 // batch should be issued from `da`; false diverts to the
                 // per-page path below.
                 let mut resume = false;
-                for (j, res) in labels.iter().enumerate() {
+                for (j, (res, &(_, this_da, ref data))) in
+                    labels.iter().zip(writes.iter()).enumerate()
+                {
                     let j = j as u16;
-                    let this_da = DiskAddress(da.0.wrapping_add(j));
                     match res {
                         Ok(captured) => {
                             if captured.length as usize != PAGE_BYTES {
@@ -888,7 +892,7 @@ impl<D: Disk> FileSystem<D> {
                                 n += j + 1;
                                 prev_da = this_da;
                                 da = DiskAddress::NIL;
-                                prev_state = Some((*captured, chunks[j as usize]));
+                                prev_state = Some((*captured, *data));
                                 break;
                             }
                             let guessed = DiskAddress(this_da.0.wrapping_add(1));
@@ -899,7 +903,7 @@ impl<D: Disk> FileSystem<D> {
                                 n += j + 1;
                                 prev_da = this_da;
                                 da = captured.next;
-                                prev_state = Some((*captured, chunks[j as usize]));
+                                prev_state = Some((*captured, *data));
                                 resume = true;
                                 break;
                             }
@@ -1057,7 +1061,8 @@ pub(crate) fn read_file_with<D: Disk>(
         let straight =
             leader.last_page >= 1 && leader.last_da.0 == pn.da.0.wrapping_add(leader.last_page - 1);
         let mut window = if straight { GUESS_WINDOW } else { GUESS_RAMP };
-        'batched: loop {
+        let mut reads = Vec::new();
+        loop {
             // Clamp the window with the leader's last-page hint so a batch
             // does not guess far past the end of the file.
             let count = if leader.last_page >= pn.page {
@@ -1065,65 +1070,57 @@ pub(crate) fn read_file_with<D: Disk>(
             } else {
                 window
             };
-            let pages = page::read_pages_guessed(disk, file.fv, pn, count)?;
-            for (j, res) in pages.into_iter().enumerate() {
-                let j = j as u16;
-                match res {
-                    Ok((label, data)) => {
-                        if label.length as usize > PAGE_BYTES {
-                            return Err(FsError::BadLength(label.length));
-                        }
-                        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
-                        if label.next.is_nil() {
-                            return Ok(bytes);
-                        }
-                        let guessed = DiskAddress(pn.da.0.wrapping_add(j + 1));
-                        if label.next != guessed || j + 1 == count {
-                            // The chain departs from the guesses (or the
-                            // window is spent): restart from the real link.
-                            window = if label.next == guessed {
-                                (window * 2).min(GUESS_WINDOW)
-                            } else {
-                                GUESS_RAMP
-                            };
-                            pn = PageName::new(file.fv, pn.page + j + 1, label.next);
-                            if j == 0 && label.next != guessed {
-                                strikes += 1;
-                                if strikes >= 2 {
-                                    break 'batched;
-                                }
-                            } else {
-                                strikes = 0;
-                            }
-                            continue 'batched;
-                        }
-                    }
-                    // Entry 0 is the real chain address: its failure is the
-                    // file's failure. Later entries only fail here when the
-                    // predecessor's link *said* they were consecutive, so
-                    // re-issuing the read below reproduces the error.
-                    Err(e) if j == 0 => return Err(e),
-                    Err(_) => {
-                        pn = PageName::new(
-                            file.fv,
-                            pn.page + j,
-                            DiskAddress(pn.da.0.wrapping_add(j)),
-                        );
-                        break 'batched;
-                    }
-                }
+            page::transfer(
+                disk,
+                file.fv,
+                &[],
+                Some(pn),
+                count,
+                &mut Vec::new(),
+                &mut reads,
+            )?;
+            let run = page::confirmed_run(pn, &reads);
+            // Entry 0 is the real chain address: its failure is the file's
+            // failure.
+            let mut next = pn.da;
+            for res in &reads[..run.max(1)] {
+                let (label, data) = res.as_ref().map_err(FsError::clone)?;
+                bytes.extend_from_slice(&unpack_bytes(data)[..data_length(label)?]);
+                next = label.next;
             }
-            break 'batched;
+            if next.is_nil() {
+                return Ok(bytes);
+            }
+            let run = run as u16;
+            let guessed = DiskAddress(pn.da.0.wrapping_add(run));
+            pn = PageName::new(file.fv, pn.page + run, next);
+            if next == guessed && run < count {
+                // A follower failed where the links said it would be:
+                // re-issuing the read below reproduces the error or the page.
+                break;
+            }
+            // The chain departs from the guesses (or the window is spent):
+            // restart from the real link.
+            window = if next == guessed {
+                (window * 2).min(GUESS_WINDOW)
+            } else {
+                GUESS_RAMP
+            };
+            if run == 1 && next != guessed {
+                strikes += 1;
+                if strikes >= 2 {
+                    break;
+                }
+            } else {
+                strikes = 0;
+            }
         }
     }
 
     let mut budget = disk.geometry()?.sector_count() + 2;
     loop {
         let (label, data) = page::read_page(disk, pn)?;
-        if label.length as usize > PAGE_BYTES {
-            return Err(FsError::BadLength(label.length));
-        }
-        bytes.extend_from_slice(&unpack_bytes(&data)[..label.length as usize]);
+        bytes.extend_from_slice(&unpack_bytes(&data)[..data_length(&label)?]);
         if label.next.is_nil() {
             return Ok(bytes);
         }
@@ -1135,6 +1132,16 @@ pub(crate) fn read_file_with<D: Disk>(
         }
         budget -= 1;
         pn = PageName::new(file.fv, pn.page + 1, label.next);
+    }
+}
+
+/// The data bytes a page's label claims. The §3.3 check matches only the
+/// absolutes, so a smashed length word passes it: a length over
+/// [`PAGE_BYTES`] is [`FsError::BadLength`].
+pub fn data_length(label: &Label) -> Result<usize, FsError> {
+    match usize::from(label.length) {
+        len @ 0..=PAGE_BYTES => Ok(len),
+        _ => Err(FsError::BadLength(label.length)),
     }
 }
 

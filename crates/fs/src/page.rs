@@ -12,6 +12,23 @@
 //! against the intended absolutes and synthesize the same check error the
 //! hardware would have produced. This closes the check, at zero simulated
 //! cost, without weakening the §3.3 discipline.
+//!
+//! Chained batches come in three request forms, one function each:
+//!
+//! * [`transfer`] moves a file's pages: writes at given addresses plus
+//!   reads guessed consecutive from a start page (§3.6), in one chain. It
+//!   serves whole-file reads and rewrites, the boot loader and the disk
+//!   stream's readahead and write-behind; [`confirmed_run`] tells a reader
+//!   how much of a guessed read to trust.
+//! * [`read_raw_batch`] scans raw sectors, with no name to check them
+//!   against — the Scavenger's sweep.
+//! * [`read_pages_zero_copy`] lends named pages of many files to a visitor
+//!   — the page server's hot path.
+//!
+//! All of them retry a transient failure sector-at-a-time under
+//! [`retry_op`]'s bounded discipline, except a guessed follower in
+//! [`transfer`]: a guess is speculation, so its failure only ends the
+//! confirmed run.
 
 use alto_disk::{
     pool, BatchRequest, CheckFailure, Disk, DiskAddress, DiskError, Label, SectorBuf, SectorOp,
@@ -145,24 +162,6 @@ pub fn complete_with_retry<D: Disk>(
     }
 }
 
-/// Runs a batch through [`Disk::do_batch`], then retries any transiently
-/// failed member sector-at-a-time: the drive halted its chain at the
-/// failure and already serviced (or rescheduled) every other member, so
-/// only the failed request is re-issued — completed chain members are
-/// never re-run.
-pub fn batch_with_retry<D: Disk>(
-    disk: &mut D,
-    batch: &mut [BatchRequest],
-) -> Vec<Result<(), DiskError>> {
-    let mut results = disk.do_batch(batch);
-    for (req, res) in batch.iter_mut().zip(results.iter_mut()) {
-        if let Err(e @ DiskError::Transient { .. }) = *res {
-            *res = complete_with_retry(disk, req.da, req.op, &mut req.buf, e);
-        }
-    }
-    results
-}
-
 /// Reads the data and label of the page named `pn`, using its hint address.
 ///
 /// Fails with a check error if the sector at the hint address is not the
@@ -206,22 +205,24 @@ pub fn read_raw<D: Disk>(
 /// One page's outcome within a batch: its verified label and data.
 pub type PageResult = Result<(Label, [u16; DATA_WORDS]), FsError>;
 
-/// What [`drain_and_prefetch`] hands back: the parked writes' captured
-/// labels (in `writes` order) and the guessed reads' results (in page
-/// order).
-pub type DrainOutcome = (Vec<Result<Label, FsError>>, Vec<PageResult>);
-
 /// Reads many raw sectors as one chained batch — the Scavenger's sweep
 /// primitive. Passing a whole cylinder's sectors lets the drive service
 /// them in rotational order, in about two revolutions instead of one
-/// revolution per sector.
+/// revolution per sector. A transiently failed member is retried
+/// sector-at-a-time: the drive halted its chain there and already serviced
+/// (or rescheduled) every other member, so completed members never re-run.
 pub fn read_raw_batch<D: Disk>(disk: &mut D, das: &[DiskAddress]) -> Vec<PageResult> {
     let mut batch = pool::batch_vec();
     batch.extend(
         das.iter()
             .map(|&da| BatchRequest::new(da, SectorOp::READ_ALL, SectorBuf::zeroed())),
     );
-    let mut results = batch_with_retry(disk, &mut batch);
+    let mut results = disk.do_batch(&mut batch);
+    for (req, res) in batch.iter_mut().zip(results.iter_mut()) {
+        if let Err(e @ DiskError::Transient { .. }) = *res {
+            *res = complete_with_retry(disk, req.da, req.op, &mut req.buf, e);
+        }
+    }
     let out = results
         .drain(..)
         .zip(batch.drain(..))
@@ -233,46 +234,6 @@ pub fn read_raw_batch<D: Disk>(disk: &mut D, das: &[DiskAddress]) -> Vec<PageRes
     pool::recycle_results(results);
     pool::recycle_batch(batch);
     out
-}
-
-/// Reads pages `start.page ..` of one file as a chained batch, *guessing*
-/// that they sit at consecutive disk addresses after `start.da` (§3.6:
-/// transfers start with a guessed address; the label check catches a wrong
-/// guess before any harm is done). Entry 0 uses `start`'s own hint, so its
-/// failure is authoritative; later entries are pure guesses.
-///
-/// Returns one result per page, in page order, each carrying the verified
-/// label and data.
-pub fn read_pages_guessed<D: Disk>(
-    disk: &mut D,
-    fv: Fv,
-    start: PageName,
-    count: u16,
-) -> Result<Vec<PageResult>, FsError> {
-    let pack = disk.pack_number()?;
-    let mut batch = pool::batch_vec();
-    for j in 0..count {
-        let da = DiskAddress(start.da.0.wrapping_add(j));
-        let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
-        buf.header = [pack, da.0];
-        batch.push(BatchRequest::new(da, SectorOp::READ, buf));
-    }
-    let mut results = batch_with_retry(disk, &mut batch);
-    let out = results
-        .drain(..)
-        .zip(batch.drain(..))
-        .enumerate()
-        .map(|(j, (res, req))| {
-            let da = DiskAddress(start.da.0.wrapping_add(j as u16));
-            res.map_err(FsError::from).and_then(|()| {
-                let label = verified_label(da, fv, start.page + j as u16, &req.buf)?;
-                Ok((label, req.buf.data))
-            })
-        })
-        .collect();
-    pool::recycle_results(results);
-    pool::recycle_batch(batch);
-    Ok(out)
 }
 
 /// Reads a set of named pages — possibly belonging to many files — as one
@@ -338,92 +299,37 @@ pub fn read_pages_zero_copy<D, V>(
     pool::recycle_das(das);
 }
 
-/// Writes full data pages `start.page ..` of one file as a chained batch
-/// at guessed consecutive addresses — the write-side twin of
-/// [`read_pages_guessed`]. Each request is an ordinary data write whose
-/// label check must pass before the value is touched, so a wrong guess
-/// writes nothing (§3.3). Clears `out` and fills it with each page's
-/// captured label.
+/// Transfers pages of the file `fv` as one chained batch: an ordinary data
+/// write for each of `writes` at its given address, then `read_count`
+/// reads of the pages from `read_start` on, *guessed* to sit at the
+/// consecutive addresses after it (§3.6: transfers start with a guessed
+/// address; the label check catches a wrong guess before any harm is
+/// done). One command set-up and one rotational schedule cover both
+/// directions. Each write's label check must pass before its value is
+/// touched, and every label a member captures is verified against the
+/// full name (§3.3), so a wrong address costs an error entry, never
+/// another file's page.
 ///
-/// The caller must ensure the check pattern has teeth: guessed writes are
-/// only safe when the file's serial low word is non-zero (a zero word is
-/// a check wildcard), which [`crate::descriptor`]'s serial assigner
-/// guarantees for ordinary files.
-pub fn write_pages_guessed<D: Disk>(
-    disk: &mut D,
-    fv: Fv,
-    start: PageName,
-    chunks: &[[u16; DATA_WORDS]],
-    out: &mut Vec<Result<Label, FsError>>,
-) -> Result<(), FsError> {
-    out.clear();
-    let pack = disk.pack_number()?;
-    let mut batch = pool::batch_vec();
-    for (j, chunk) in chunks.iter().enumerate() {
-        let da = DiskAddress(start.da.0.wrapping_add(j as u16));
-        let mut buf = SectorBuf::with_label(fv.check_label(start.page + j as u16));
-        buf.header = [pack, da.0];
-        buf.data = *chunk;
-        batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
-    }
-    let mut results = batch_with_retry(disk, &mut batch);
-    out.extend(
-        results
-            .drain(..)
-            .zip(batch.drain(..))
-            .enumerate()
-            .map(|(j, (res, req))| {
-                let da = DiskAddress(start.da.0.wrapping_add(j as u16));
-                res.map_err(FsError::from)
-                    .and_then(|()| verified_label(da, fv, start.page + j as u16, &req.buf))
-            }),
-    );
-    pool::recycle_results(results);
-    pool::recycle_batch(batch);
-    Ok(())
-}
-
-/// Drains a write-behind buffer and refills a readahead buffer in one
-/// chained batch: the parked dirty pages are written back at their *known*
-/// addresses (ordinary data writes, each label checked before the value is
-/// touched, §3.3) while the `read_count` pages from `read_start` on are
-/// read at guessed-consecutive addresses — one command set-up and one
-/// rotational schedule cover both directions, which is what makes delayed
-/// writes cheap.
+/// The retry rule: a transient failure on a write or on the first read —
+/// `read_start`'s own address, which the caller took from a real link —
+/// is retried sector-at-a-time under [`retry_op`]'s bounded discipline.
+/// The drive halted its chain there and rescheduled the rest, so completed
+/// members never re-run. A transient on a guessed follower is left in
+/// place: the guess was speculation, and its failure only ends the
+/// confirmed run that [`confirmed_run`] counts.
 ///
-/// Unlike [`write_pages_guessed`] the write addresses are not guesses (the
-/// stream verified each page's label when it loaded it), so this is safe
-/// for any file; the check still arbitrates if the medium changed since.
-/// Returns the writes' captured labels in `writes` order and the reads'
-/// results in page order. An empty `writes` or a zero `read_count` simply
-/// shrinks the batch.
-pub fn drain_and_prefetch<D: Disk>(
-    disk: &mut D,
-    fv: Fv,
-    writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
-    read_start: Option<PageName>,
-    read_count: u16,
-) -> Result<DrainOutcome, FsError> {
-    let mut write_out = Vec::with_capacity(writes.len());
-    let mut read_out = Vec::with_capacity(read_count as usize);
-    drain_and_prefetch_into(
-        disk,
-        fv,
-        writes,
-        read_start,
-        read_count,
-        &mut write_out,
-        &mut read_out,
-    )?;
-    Ok((write_out, read_out))
-}
-
-/// [`drain_and_prefetch`] with caller-provided output storage: clears and
-/// fills `write_out` and `read_out` instead of allocating them, so a stream
-/// that drains every few pages can reuse the same vectors forever (the
-/// request batch itself comes from [`pool`]). Same semantics otherwise.
+/// Clears `write_out` and fills it with the writes' captured labels, in
+/// `writes` order, and clears `read_out` and fills it with the reads'
+/// results, in page order, so a caller can reuse the same vectors batch
+/// after batch. A batch with no reads lends each page's data words to the
+/// drive in place ([`Disk::do_batch_write`]); one with reads stages every
+/// member through a buffer ([`Disk::do_batch`]).
+///
+/// A write address may be a guess too, as long as the check has teeth: a
+/// file serial low word of 0 is a check wildcard, which
+/// [`crate::descriptor`]'s serial assigner rules out for ordinary files.
 #[allow(clippy::too_many_arguments)]
-pub fn drain_and_prefetch_into<D: Disk>(
+pub fn transfer<D: Disk>(
     disk: &mut D,
     fv: Fv,
     writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
@@ -435,16 +341,9 @@ pub fn drain_and_prefetch_into<D: Disk>(
     write_out.clear();
     read_out.clear();
     let pack = disk.pack_number()?;
-    let reads = match read_start {
-        Some(_) => read_count,
-        None => 0,
+    let Some(start) = read_start.filter(|_| read_count > 0) else {
+        return write_zero_copy(disk, fv, pack, writes, write_out);
     };
-    if reads == 0 {
-        // A pure drain has nothing to copy out, so the dirty pages go down
-        // the borrowed-buffer path: the drive checks each label in place
-        // and takes the 256 data words straight from the parked page.
-        return drain_writes_zero_copy(disk, fv, pack, writes, write_out);
-    }
     let mut batch = pool::batch_vec();
     for &(page, da, ref data) in writes {
         let mut buf = SectorBuf::with_label(fv.check_label(page));
@@ -452,18 +351,12 @@ pub fn drain_and_prefetch_into<D: Disk>(
         buf.data = *data;
         batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
     }
-    if let Some(start) = read_start {
-        for j in 0..reads {
-            let da = DiskAddress(start.da.0.wrapping_add(j));
-            let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
-            buf.header = [pack, da.0];
-            batch.push(BatchRequest::new(da, SectorOp::READ, buf));
-        }
+    for j in 0..read_count {
+        let da = DiskAddress(start.da.0.wrapping_add(j));
+        let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
+        buf.header = [pack, da.0];
+        batch.push(BatchRequest::new(da, SectorOp::READ, buf));
     }
-    // Selective retry: the parked writes and the authoritative first read
-    // are retried sector-at-a-time, but a transient on a *guessed follower*
-    // read is left in place — the readahead above degrades to a shorter
-    // prefetch rather than paying retry revolutions for speculation.
     let mut results = disk.do_batch(&mut batch);
     for (req, res) in batch
         .iter_mut()
@@ -474,37 +367,31 @@ pub fn drain_and_prefetch_into<D: Disk>(
             *res = complete_with_retry(disk, req.da, req.op, &mut req.buf, e);
         }
     }
-    for (k, (res, req)) in results.drain(..).zip(batch.drain(..)).enumerate() {
-        if k < writes.len() {
-            let (page, da, _) = writes[k];
-            write_out.push(
-                res.map_err(FsError::from)
-                    .and_then(|()| verified_label(da, fv, page, &req.buf)),
-            );
-        } else {
-            // lint: allow(diskerror-unwrap) — Option, not a DiskError: the
-            // read half of the batch is built from `read_start` above, so a
-            // read request at index k proves the start exists
-            let start = read_start.expect("read requests imply a start");
-            let j = (k - writes.len()) as u16;
-            let da = DiskAddress(start.da.0.wrapping_add(j));
-            read_out.push(res.map_err(FsError::from).and_then(|()| {
-                let label = verified_label(da, fv, start.page + j, &req.buf)?;
-                Ok((label, req.buf.data))
-            }));
-        }
+    let mut members = results.drain(..).zip(batch.drain(..));
+    for (&(page, da, _), (res, req)) in writes.iter().zip(members.by_ref()) {
+        write_out.push(
+            res.map_err(FsError::from)
+                .and_then(|()| verified_label(da, fv, page, &req.buf)),
+        );
+    }
+    for (j, (res, req)) in (0..read_count).zip(members) {
+        let da = DiskAddress(start.da.0.wrapping_add(j));
+        read_out.push(res.map_err(FsError::from).and_then(|()| {
+            let label = verified_label(da, fv, start.page + j, &req.buf)?;
+            Ok((label, req.buf.data))
+        }));
     }
     pool::recycle_results(results);
     pool::recycle_batch(batch);
     Ok(())
 }
 
-/// The write half of [`drain_and_prefetch_into`] via
-/// [`Disk::do_batch_write`]: same chained schedule, same §3.3 checks, same
-/// bounded-retry discipline, but the data words are borrowed from the
-/// parked pages instead of being staged through per-request buffers, and
-/// each captured label is verified through the lent [`SectorView`].
-fn drain_writes_zero_copy<D: Disk>(
+/// [`transfer`] with no reads, via [`Disk::do_batch_write`]: the same
+/// chained schedule, §3.3 checks and retry rule, but the data words are
+/// borrowed from `writes` instead of being staged through per-request
+/// buffers, and each captured label is verified through the lent
+/// [`SectorView`].
+fn write_zero_copy<D: Disk>(
     disk: &mut D,
     fv: Fv,
     pack: u16,
@@ -554,6 +441,26 @@ fn drain_writes_zero_copy<D: Disk>(
     pool::recycle_results(results);
     pool::recycle_das(das);
     Ok(())
+}
+
+/// Counts the confirmed run of a guessed read that [`transfer`] issued
+/// from `start`: the first entry, verified at its real address, then each
+/// follower verified at the address its predecessor's link names. The run
+/// ends at the first failed entry, at the first link that departs from the
+/// guess (a nil link included) or at the end of `reads`, so 0 means the
+/// first entry itself failed. What a reader does once its run ends is its
+/// own business.
+pub fn confirmed_run(start: PageName, reads: &[PageResult]) -> usize {
+    let mut link = start.da;
+    for (j, res) in reads.iter().enumerate() {
+        match res {
+            Ok((label, _)) if link == DiskAddress(start.da.0.wrapping_add(j as u16)) => {
+                link = label.next;
+            }
+            _ => return j,
+        }
+    }
+    reads.len()
 }
 
 /// Allocates the free sector `da` as the page with `label`, writing `data`.
@@ -647,6 +554,51 @@ mod tests {
             next,
             prev,
         }
+    }
+
+    /// Lays pages `1..=count` of the test file at DAs 40.., linked in
+    /// address order, each page's data words all equal to its index from 0.
+    fn consecutive_pages(d: &mut DiskDrive, count: u16) {
+        for i in 0..count {
+            let next = if i + 1 == count {
+                DiskAddress::NIL
+            } else {
+                DiskAddress(41 + i)
+            };
+            let prev = if i == 0 {
+                DiskAddress::NIL
+            } else {
+                DiskAddress(39 + i)
+            };
+            allocate_at(
+                d,
+                DiskAddress(40 + i),
+                label_for(i + 1, next, prev),
+                &[i; DATA_WORDS],
+            )
+            .unwrap();
+        }
+    }
+
+    /// [`transfer`] into fresh vectors: the writes' labels and the reads.
+    fn transferred(
+        d: &mut DiskDrive,
+        writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
+        read_start: Option<PageName>,
+        read_count: u16,
+    ) -> (Vec<Result<Label, FsError>>, Vec<PageResult>) {
+        let (mut wrote, mut read) = (Vec::new(), Vec::new());
+        transfer(
+            d,
+            fv(),
+            writes,
+            read_start,
+            read_count,
+            &mut wrote,
+            &mut read,
+        )
+        .unwrap();
+        (wrote, read)
     }
 
     #[test]
@@ -804,26 +756,7 @@ mod tests {
     #[test]
     fn drain_and_prefetch_is_one_batch_both_directions() {
         let mut d = drive();
-        // Four consecutive pages of one file.
-        for i in 0..4u16 {
-            let next = if i == 3 {
-                DiskAddress::NIL
-            } else {
-                DiskAddress(41 + i)
-            };
-            let prev = if i == 0 {
-                DiskAddress::NIL
-            } else {
-                DiskAddress(39 + i)
-            };
-            allocate_at(
-                &mut d,
-                DiskAddress(40 + i),
-                label_for(i + 1, next, prev),
-                &[i; DATA_WORDS],
-            )
-            .unwrap();
-        }
+        consecutive_pages(&mut d, 4);
         d.reset_stats();
         // Write back pages 1-2 and prefetch pages 3-4, all as one batch.
         let writes = [
@@ -831,12 +764,13 @@ mod tests {
             (2u16, DiskAddress(41), [0xBBu16; DATA_WORDS]),
         ];
         let start = PageName::new(fv(), 3, DiskAddress(42));
-        let (wrote, read) = drain_and_prefetch(&mut d, fv(), &writes, Some(start), 2).unwrap();
+        let (wrote, read) = transferred(&mut d, &writes, Some(start), 2);
         assert!(wrote.iter().all(std::result::Result::is_ok));
         let (l3, d3) = read[0].as_ref().unwrap();
         assert_eq!(l3.page_number, 3);
         assert_eq!(d3[0], 2);
         assert!(read[1].is_ok());
+        assert_eq!(confirmed_run(start, &read), 2);
         assert_eq!(d.stats().batches, 1);
         assert_eq!(d.stats().batched_ops, 4);
         // The writes landed.
@@ -870,7 +804,7 @@ mod tests {
                 (2u16, DiskAddress(41), [0xA2u16; DATA_WORDS]),
                 (3u16, DiskAddress(42), [0xA3u16; DATA_WORDS]),
             ];
-            let (wrote, read) = drain_and_prefetch(&mut d, fv(), &writes, None, 0).unwrap();
+            let (wrote, read) = transferred(&mut d, &writes, None, 0);
             let elapsed = d.clock().now() - t0;
             assert!(read.is_empty());
             let labels: Vec<Label> = wrote.into_iter().map(std::result::Result::unwrap).collect();
@@ -916,7 +850,7 @@ mod tests {
             (1u16, DiskAddress(40), [0xB1u16; DATA_WORDS]),
             (2u16, DiskAddress(41), [0xB2u16; DATA_WORDS]),
         ];
-        let (wrote, _) = drain_and_prefetch(&mut d, fv(), &writes, None, 0).unwrap();
+        let (wrote, _) = transferred(&mut d, &writes, None, 0);
         assert!(wrote.iter().all(std::result::Result::is_ok));
         assert_eq!(wrote[1].as_ref().unwrap().page_number, 2);
         let s = d.stats();
@@ -1013,43 +947,74 @@ mod tests {
     #[test]
     fn batch_retry_completes_only_the_failed_member() {
         use alto_disk::FaultKind;
-        // Three chained writes with a transient on the middle sector: the
-        // drive halts at the failure and reschedules the rest, then the
-        // retry layer re-issues just the failed member — the completed
-        // members are never re-run.
+        // One chain of two writes and three guessed reads, with a transient
+        // on the second write, on the first read and on the first guessed
+        // follower. The drive halts at each failure and reschedules the
+        // rest; the retry layer then re-issues the write and the first
+        // read alone — completed members never re-run — and leaves the
+        // follower failed, which ends the confirmed run after page 3.
         let mut d = drive();
-        for i in 0..3u16 {
-            allocate_at(
-                &mut d,
-                DiskAddress(40 + i),
-                label_for(i + 1, DiskAddress::NIL, DiskAddress::NIL),
-                &[1; DATA_WORDS],
-            )
-            .unwrap();
-        }
+        consecutive_pages(&mut d, 5);
         d.reset_stats();
-        d.injector_mut()
-            .arm(DiskAddress(41), FaultKind::NotReady { attempts: 1 });
-        let chunks = [
-            [0xA1u16; DATA_WORDS],
-            [0xA2; DATA_WORDS],
-            [0xA3; DATA_WORDS],
+        let inj = d.injector_mut();
+        inj.arm(DiskAddress(41), FaultKind::NotReady { attempts: 1 });
+        inj.arm_read(DiskAddress(42), FaultKind::SoftRead { attempts: 1 });
+        inj.arm_read(DiskAddress(43), FaultKind::SoftRead { attempts: 1 });
+        let writes = [
+            (1u16, DiskAddress(40), [0xA1u16; DATA_WORDS]),
+            (2u16, DiskAddress(41), [0xA2u16; DATA_WORDS]),
         ];
-        let start = PageName::new(fv(), 1, DiskAddress(40));
-        let mut wrote = Vec::new();
-        write_pages_guessed(&mut d, fv(), start, &chunks, &mut wrote).unwrap();
+        let start = PageName::new(fv(), 3, DiskAddress(42));
+        let (wrote, read) = transferred(&mut d, &writes, Some(start), 3);
         assert!(wrote.iter().all(std::result::Result::is_ok));
+        assert!(read[0].is_ok(), "the first read is retried");
+        assert!(
+            matches!(read[1], Err(FsError::Disk(DiskError::Transient { .. }))),
+            "a guessed follower is not retried, got {:?}",
+            read[1].as_ref().map(|(label, _)| label)
+        );
+        assert!(read[2].is_ok(), "the chain went on past the follower");
+        assert_eq!(confirmed_run(start, &read), 1);
         let s = d.stats();
-        // 3 batched services + exactly 1 retry re-issue; the two clean
-        // members were not re-run.
-        assert_eq!(s.ops, 4);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.recovered, 1);
-        for i in 0..3u16 {
+        // 5 batched services + exactly 2 retry re-issues.
+        assert_eq!(s.ops, 7);
+        assert_eq!(s.retries, 2);
+        assert_eq!(s.recovered, 2);
+        assert_eq!(s.hard_failures, 0);
+        for i in 0..2u16 {
             let (_, data) =
                 read_page(&mut d, PageName::new(fv(), i + 1, DiskAddress(40 + i))).unwrap();
             assert_eq!(data[0], 0xA1 + i);
         }
+    }
+
+    #[test]
+    fn confirmed_run_ends_where_the_links_leave_the_guess() {
+        let mut d = drive();
+        consecutive_pages(&mut d, 3);
+        let start = PageName::new(fv(), 1, DiskAddress(40));
+        // Past page 3 the chain ends: the guessed page 4 fails its check,
+        // and the run is the whole file.
+        let (_, read) = transferred(&mut d, &[], Some(start), 5);
+        assert!(read[3].is_err());
+        assert_eq!(confirmed_run(start, &read), 3);
+        // A page that verifies where its predecessor's link does not point
+        // still ends the run: page 2 now links elsewhere.
+        let moved = label_for(2, DiskAddress(90), DiskAddress(40));
+        rewrite_label(
+            &mut d,
+            PageName::new(fv(), 2, DiskAddress(41)),
+            moved,
+            &[1; DATA_WORDS],
+        )
+        .unwrap();
+        let (_, read) = transferred(&mut d, &[], Some(start), 3);
+        assert!(read.iter().all(std::result::Result::is_ok));
+        assert_eq!(confirmed_run(start, &read), 2);
+        // A failed page 0 leaves no run at all.
+        let stale = PageName::new(fv(), 1, DiskAddress(41));
+        let (_, read) = transferred(&mut d, &[], Some(stale), 2);
+        assert_eq!(confirmed_run(stale, &read), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@
 use std::ops::Range;
 
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
-use alto_fs::file::PAGE_BYTES;
+use alto_fs::file::{data_length, PAGE_BYTES};
 use alto_fs::names::FileFullName;
 use alto_fs::{FileSystem, FsError, PageName};
 
@@ -146,6 +146,7 @@ impl<D: Disk> DiskByteStream<D> {
         let da = leader_label.next;
         let pn = PageName::new(file.fv, 1, da);
         let (label, buffer) = fs.read_page(pn)?;
+        data_length(&label)?;
         let medium_epoch = fs.disk().write_epoch();
         Ok(DiskByteStream {
             file,
@@ -177,8 +178,10 @@ impl<D: Disk> DiskByteStream<D> {
     }
 
     /// Seeks to an absolute byte position within the file (non-standard
-    /// operation). Positions up to and including the end are valid; a
-    /// failed seek leaves the cursor where it was.
+    /// operation). Positions up to and including the end are valid; the
+    /// end of a file whose last page is full lies at that page's offset
+    /// 512, where a write extends the file. A failed seek leaves the cursor
+    /// where it was.
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, pos: u64) -> Result<(), StreamError> {
         self.check_open()?;
         let target_page = (pos / PAGE_BYTES as u64) as u16 + 1;
@@ -213,11 +216,19 @@ impl<D: Disk> DiskByteStream<D> {
                 if target_offset > label.length as usize {
                     return Err(past_end(page));
                 }
-                self.enter_page(page, da, label, buffer);
+                self.enter_page(page, da, label, buffer)?;
                 self.offset = target_offset;
                 return Ok(());
             }
             if label.next.is_nil() {
+                if page + 1 == target_page
+                    && target_offset == 0
+                    && label.length as usize == PAGE_BYTES
+                {
+                    self.enter_page(page, da, label, buffer)?;
+                    self.offset = PAGE_BYTES;
+                    return Ok(());
+                }
                 return Err(past_end(page));
             }
             page += 1;
@@ -298,7 +309,7 @@ impl<D: Disk> DiskByteStream<D> {
             Some(_) => &mut self.read_results,
             None => &mut no_reads,
         };
-        if let Err(e) = alto_fs::page::drain_and_prefetch_into(
+        if let Err(e) = alto_fs::page::transfer(
             fs.disk_mut(),
             self.file.fv,
             &writes,
@@ -378,13 +389,23 @@ impl<D: Disk> DiskByteStream<D> {
         }
     }
 
-    /// Makes `page` the current page, positioned at its first byte.
-    fn enter_page(&mut self, page: u16, da: DiskAddress, label: Label, buffer: [u16; DATA_WORDS]) {
+    /// Makes `page` the current page, positioned at its first byte. A page
+    /// whose label claims more bytes than a page holds is refused, and the
+    /// cursor stays where it was.
+    fn enter_page(
+        &mut self,
+        page: u16,
+        da: DiskAddress,
+        label: Label,
+        buffer: [u16; DATA_WORDS],
+    ) -> Result<(), StreamError> {
+        data_length(&label)?;
         self.page = page;
         self.da = da;
         self.label = label;
         self.buffer = buffer;
         self.offset = 0;
+        Ok(())
     }
 
     fn load_page(
@@ -394,8 +415,7 @@ impl<D: Disk> DiskByteStream<D> {
         da: DiskAddress,
     ) -> Result<(), StreamError> {
         let (label, buffer) = fs.read_page(PageName::new(self.file.fv, page, da))?;
-        self.enter_page(page, da, label, buffer);
-        Ok(())
+        self.enter_page(page, da, label, buffer)
     }
 
     /// Moves to `(page, da)`, serving from the readahead buffer when it is
@@ -438,9 +458,9 @@ impl<D: Disk> DiskByteStream<D> {
                 self.drain(fs)?;
             }
             if let Some(&Ok((label, buffer))) = self.read_results.get(j) {
+                self.enter_page(page, da, label, buffer)?;
                 self.ahead.start = j + 1;
                 fs.disk_mut().note_readahead(1, 0);
-                self.enter_page(page, da, label, buffer);
                 return Ok(());
             }
         }
@@ -463,25 +483,16 @@ impl<D: Disk> DiskByteStream<D> {
             self.read_results.reserve(count.into());
             let start = PageName::new(self.file.fv, page, da);
             self.chain(fs, Some(start), count)?;
-            if let Some(&Ok((label, buffer))) = self.read_results.first() {
-                // Keep followers only while the verified links confirm the
-                // guessed consecutive run.
-                let mut expect_next = label.next;
-                let mut end = 1;
-                for (j, entry) in self.read_results.iter().enumerate().skip(1) {
-                    let Ok((l, _)) = entry else { break };
-                    if expect_next != DiskAddress(da.0.wrapping_add(j as u16)) {
-                        break;
-                    }
-                    expect_next = l.next;
-                    end = j + 1;
-                }
+            // Keep followers only while the verified links confirm the
+            // guessed consecutive run.
+            let run = alto_fs::page::confirmed_run(start, &self.read_results);
+            if let Some(&Ok((label, buffer))) = self.read_results[..run].first() {
+                self.enter_page(page, da, label, buffer)?;
                 self.refill_start = start;
-                self.ahead = 1..end;
-                if end > 1 {
-                    fs.disk_mut().note_readahead(0, end as u64 - 1);
+                self.ahead = 1..run;
+                if run > 1 {
+                    fs.disk_mut().note_readahead(0, run as u64 - 1);
                 }
-                self.enter_page(page, da, label, buffer);
                 return Ok(());
             }
             // Entry 0 failed: the hint chain is authoritative there, so let
@@ -975,6 +986,66 @@ mod tests {
             assert_eq!(s.position(), 4, "after the failed seek to {past}");
         }
         assert_eq!(s.get_byte(&mut fs).unwrap(), 4);
+
+        // The end of a file of whole pages is offset 512 of its last page,
+        // from where a write extends the file; one byte on is past it.
+        let g = file_named(&mut fs, "q.dat");
+        let whole = &bytes[..3 * PAGE_BYTES];
+        fs.write_file(g, whole).unwrap();
+        let mut s = DiskByteStream::open(&mut fs, g).unwrap();
+        assert!(s.set_position(&mut fs, 3 * PAGE_BYTES as u64 + 1).is_err());
+        s.set_position(&mut fs, 3 * PAGE_BYTES as u64).unwrap();
+        assert_eq!(s.position(), 3 * PAGE_BYTES as u64);
+        assert!(s.endof(&mut fs).unwrap());
+        assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
+        s.put_byte(&mut fs, 0xEE).unwrap();
+        s.close(&mut fs).unwrap();
+        let mut want = whole.to_vec();
+        want.push(0xEE);
+        assert_eq!(fs.read_file(g).unwrap(), want);
+    }
+
+    /// Sets the length word of page `k`'s label on the platter, behind the
+    /// file system's back.
+    fn smash_length(fs: &mut Fs, f: FileFullName, k: u16, length: u16) {
+        let mut da = fs.open_leader(f).unwrap().0.next;
+        for page in 1..k {
+            da = fs.read_page(PageName::new(f.fv, page, da)).unwrap().0.next;
+        }
+        let pack = fs.disk_mut().pack_mut().unwrap();
+        pack.sector_mut(da).unwrap().label[4] = length;
+    }
+
+    #[test]
+    fn a_label_longer_than_a_page_is_refused() {
+        // The label check matches only the absolutes, so a smashed length
+        // word passes it: the stream must refuse the page wherever it
+        // enters one, as `read_file` does, not serve bytes no page holds.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "long.dat");
+        let bytes: Vec<u8> = (0..4 * PAGE_BYTES as u32).map(|i| i as u8).collect();
+        fs.write_file(f, &bytes).unwrap();
+        let bad = StreamError::Fs(FsError::BadLength(600));
+        smash_length(&mut fs, f, 1, 600);
+        assert_eq!(fs.read_file(f), Err(FsError::BadLength(600)));
+        assert_eq!(DiskByteStream::open(&mut fs, f).err(), Some(bad.clone()));
+        // Page 3 instead, which the crossing into page 2 prefetches: the
+        // crossing into it, bulk or byte at a time, and a seek into it
+        // fail and leave the cursor where it was.
+        smash_length(&mut fs, f, 1, PAGE_BYTES as u16);
+        smash_length(&mut fs, f, 3, 600);
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        let mut all = vec![0u8; 5 * PAGE_BYTES];
+        assert_eq!(s.read_bytes(&mut fs, &mut all), Err(bad.clone()));
+        assert_eq!(s.position(), 2 * PAGE_BYTES as u64);
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        for &b in &bytes[..2 * PAGE_BYTES] {
+            assert_eq!(s.get_byte(&mut fs), Ok(b));
+        }
+        assert_eq!(s.get_byte(&mut fs), Err(bad.clone()));
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        assert_eq!(s.set_position(&mut fs, 1100), Err(bad));
+        assert_eq!(s.position(), 0);
     }
 
     #[test]

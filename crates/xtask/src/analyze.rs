@@ -182,7 +182,7 @@ fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec
             format!(
                 "fn `{name}` reaches a raw sector op outside fs::page ({chain}) \
                  — route the whole path through retry_op/complete_with_retry/\
-                 batch_with_retry so §3.3 checks and bounded retry apply"
+                 transfer so §3.3 checks and bounded retry apply"
             )
         },
         out,
@@ -201,7 +201,7 @@ const ERROR_SOURCES: [&str; 12] = [
     "write_file(",
     "retry_op(",
     "complete_with_retry(",
-    "batch_with_retry(",
+    "transfer(",
     "rewrite_label(",
 ];
 

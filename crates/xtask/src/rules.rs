@@ -225,7 +225,7 @@ fn raw_disk_op(file: &SourceFile, out: &mut Vec<Violation>) {
                     line: line.number,
                     message: format!(
                         "raw disk operation `{}` outside fs::page — route it \
-                         through retry_op/complete_with_retry/batch_with_retry \
+                         through retry_op/complete_with_retry/transfer \
                          so §3.3 checks and bounded retry apply",
                         pat.trim()
                     ),

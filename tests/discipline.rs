@@ -309,20 +309,39 @@ fn innocent_looking_caller(&mut self, da: DiskAddress) {
 
 #[test]
 fn analyze_catches_swallowed_disk_error() {
-    let seeded = r#"
+    let forgetful_flush = r#"
 fn forgetful_flush(&mut self, file: FileFullName, bytes: &[u8]) {
     let _ = self.fs.write_file(file, bytes);
 }
 "#;
-    let report = xtask::analyze_sources(&[("crates/fs/src/mutant.rs", seeded)]);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.rule == "error-path-discard"),
-        "analyze must flag a DiskError discarded via `let _ =`, got {:?}",
-        report.violations
+    // The chained-transfer routine's result, split over lines by rustfmt.
+    let forgetful_drain = r#"
+fn forgetful_drain(&mut self, fs: &mut FileSystem<D>) {
+    let _ = alto_fs::page::transfer(
+        fs.disk_mut(),
+        self.file.fv,
+        &self.write_behind,
+        None,
+        0,
+        &mut self.write_results,
+        &mut self.read_results,
     );
+}
+"#;
+    for (path, seeded) in [
+        ("crates/fs/src/mutant.rs", forgetful_flush),
+        ("crates/streams/src/mutant.rs", forgetful_drain),
+    ] {
+        let report = xtask::analyze_sources(&[(path, seeded)]);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.rule == "error-path-discard"),
+            "analyze must flag a DiskError discarded via `let _ =` in {path}, got {:?}",
+            report.violations
+        );
+    }
 }
 
 #[test]
