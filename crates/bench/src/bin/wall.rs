@@ -24,12 +24,12 @@ use std::time::Instant;
 
 use alto_bench::fresh_fs;
 use alto_disk::{
-    BatchRequest, Disk, DiskAddress, DiskDrive, DiskModel, DriveArray, Placement, SectorBuf,
-    SectorOp,
+    BatchRequest, Disk, DiskAddress, DiskDrive, DiskError, DiskModel, DriveArray, Placement,
+    SectorBuf, SectorOp,
 };
 use alto_fs::dir;
 use alto_fs::scavenge::Scavenger;
-use alto_fs::FileSystem;
+use alto_fs::{FileSystem, FsError};
 use alto_sim::{SimClock, SplitMix64, Trace};
 use alto_streams::{DiskByteStream, Stream};
 
@@ -248,7 +248,13 @@ fn campaign(min_wall_ms: u64) -> Measurement {
     let clock = fs.disk().clock().clone();
     measure("campaign", &clock, min_wall_ms, || {
         let before = fs.disk().io_stats().ops;
-        fs.write_file(f, &bytes).expect("campaign write");
+        // A fault the campaign rolls again inside a retry window can
+        // outlast the bounded budget. The rewrite then fails with a hard
+        // error, as bounded retry means it to, and the next one goes on.
+        match fs.write_file(f, &bytes) {
+            Ok(()) | Err(FsError::Disk(DiskError::HardError { .. })) => {}
+            Err(e) => panic!("campaign write: {e}"),
+        }
         fs.disk().io_stats().ops - before
     })
 }

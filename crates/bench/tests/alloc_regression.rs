@@ -142,9 +142,10 @@ fn pooled_steady_state_paths_allocate_nothing() {
     // rounds. This covers the whole stack above the drive — write-behind
     // parks and drains (the zero-copy write path), readahead refills, label
     // verification — plus the stream's own working vectors. Every call
-    // spans all 16 pages, so its refill reads the 15 pages after the first
-    // in one chain and a write holds its parks for one drain at the end:
-    // the deep batches, not the 4-page floor. Opening a stream is
+    // spans all 16 pages: a read's refill reads the 15 pages after the
+    // first in one chain, not the 4-page floor, and a write sends its
+    // pages in one chain without reading the ones it overwrites whole.
+    // Opening a stream is
     // excluded: the leader cache hands back an owned copy of the leader
     // (its name is a `String`), and the stream's vectors start empty,
     // which are per-open costs, not per-page ones.
@@ -180,17 +181,18 @@ fn pooled_steady_state_paths_allocate_nothing() {
     assert_eq!(spent, 0, "steady-state stream writes allocated");
     assert_eq!(
         fs.disk().stats().readahead_prefetched - prefetched,
-        14 * ROUNDS as u64,
-        "a write's refill did not reach the end of its call"
+        0,
+        "a write read ahead of pages it overwrites whole"
     );
-    // Page 1 drains with the refill, 2..15 in one batch at the end of the
-    // call; the rewind flushes page 16, the current page, which never
-    // parked.
+    // One chain per call: page 1, parked at the first crossing, and pages
+    // 2..15, overwritten whole at guessed addresses, ride with a read of
+    // page 16, the hinted last page. Nothing is left parked for a drain at
+    // the end of the call; the rewind flushes page 16, the current page.
     let io = fs.disk().io_stats();
     assert_eq!(
         (io.wb_drains - drains, io.wb_coalesced - parked),
-        (2 * ROUNDS as u64, 15 * ROUNDS as u64),
-        "a write did not hold its parks for one drain at the end"
+        (ROUNDS as u64, 15 * ROUNDS as u64),
+        "a write did not send its pages in one chain"
     );
 
     for _ in 0..4 {

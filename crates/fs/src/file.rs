@@ -800,8 +800,11 @@ impl<D: Disk> FileSystem<D> {
     ///
     /// Full pages along a consecutive chain go to the disk in chained
     /// batches at guessed addresses (the §3.6 discipline: a wrong guess
-    /// fails its label check before anything is written); the last page,
-    /// length changes, extension and truncation take the per-page path.
+    /// fails its label check before anything is written), and
+    /// [`page::confirmed_write_run`] says how far each batch's guesses held.
+    /// A failure where the links confirm the address is the rewrite's
+    /// error. The last page, length changes, extension and truncation take
+    /// the per-page path.
     ///
     /// Takes the leader (label and decoded page) the caller already holds;
     /// the leader page itself is never touched here.
@@ -840,7 +843,7 @@ impl<D: Disk> FileSystem<D> {
             // reused across batches: a warm rewrite allocates nothing here.
             let writes = &mut self.write_pages;
             let labels = &mut self.write_labels;
-            'batched: while n < new_pages && !da.is_nil() {
+            while n < new_pages && !da.is_nil() {
                 // Only full, already-existing pages belong in a batch:
                 // clamp to the page before the last new one and to the old
                 // file's tail hint.
@@ -868,64 +871,37 @@ impl<D: Disk> FileSystem<D> {
                     labels,
                     &mut Vec::new(),
                 )?;
-                // True when the batch ended on a good link and the next
-                // batch should be issued from `da`; false diverts to the
-                // per-page path below.
-                let mut resume = false;
-                for (j, (res, &(_, this_da, ref data))) in
-                    labels.iter().zip(writes.iter()).enumerate()
-                {
-                    let j = j as u16;
-                    match res {
-                        Ok(captured) => {
-                            if captured.length as usize != PAGE_BYTES {
-                                // The old file's tail: the data landed but
-                                // the length must change. Redo this page on
-                                // the per-page path (idempotent write).
-                                n += j;
-                                da = this_da;
-                                prev_state = None;
-                                break;
-                            }
-                            if captured.next.is_nil() {
-                                // Old chain ends here; the rest extends.
-                                n += j + 1;
-                                prev_da = this_da;
-                                da = DiskAddress::NIL;
-                                prev_state = Some((*captured, *data));
-                                break;
-                            }
-                            let guessed = DiskAddress(this_da.0.wrapping_add(1));
-                            if captured.next != guessed || j + 1 == count {
-                                if captured.next != guessed {
-                                    jumps += 1;
-                                }
-                                n += j + 1;
-                                prev_da = this_da;
-                                da = captured.next;
-                                prev_state = Some((*captured, *data));
-                                resume = true;
-                                break;
-                            }
-                        }
-                        // Entry 0's address came from the real chain; later
-                        // entries only fail when the predecessor's link said
-                        // they were consecutive. Either way the per-page
-                        // path below reproduces the failure or the page.
-                        Err(_) => {
-                            n += j;
-                            da = this_da;
-                            prev_state = None;
-                            break;
-                        }
-                    }
+                // Act on the run's last page, or on the entry that ended it:
+                // that one sits at a link-confirmed address, so its failure
+                // is the file's, and re-issuing it would grant a spent retry
+                // budget afresh.
+                let end = page::confirmed_write_run(da, labels).min(usize::from(count) - 1);
+                let captured = *labels[end].as_ref().map_err(FsError::clone)?;
+                let (_, this_da, ref data) = writes[end];
+                let end = end as u16;
+                if captured.length as usize != PAGE_BYTES {
+                    // The old file's tail: the data landed but the length
+                    // must change. Redo this page on the per-page path
+                    // (idempotent write).
+                    n += end;
+                    da = this_da;
+                    prev_state = None;
+                    break;
                 }
-                if !resume {
-                    // The last entry always diverts (length change, chain
-                    // end, or link jump), so falling out of the member loop
-                    // without a resume means the per-page path takes over.
-                    break 'batched;
+                n += end + 1;
+                prev_da = this_da;
+                prev_state = Some((captured, *data));
+                if captured.next.is_nil() {
+                    // Old chain ends here; the rest extends.
+                    da = DiskAddress::NIL;
+                    break;
                 }
+                // The next batch starts from the real link, wherever it
+                // points.
+                if captured.next.0 != this_da.0.wrapping_add(1) {
+                    jumps += 1;
+                }
+                da = captured.next;
             }
         }
 
@@ -1429,6 +1405,46 @@ mod tests {
         fs.flush_descriptor().unwrap();
         let after = fs.disk().stats().label_writes;
         assert_eq!(before, after, "flush must not rewrite labels");
+    }
+
+    /// The address of page `k` of `f`, found by following the links.
+    fn page_da(fs: &mut FileSystem<DiskDrive>, f: FileFullName, k: u16) -> DiskAddress {
+        let mut da = fs.open_leader(f).unwrap().0.next;
+        for page in 1..k {
+            da = fs.read_page(PageName::new(f.fv, page, da)).unwrap().0.next;
+        }
+        da
+    }
+
+    #[test]
+    fn a_rewrite_spends_one_retry_budget_per_page() {
+        use alto_disk::FaultKind;
+        // Page 3 of a batched rewrite sits where page 2's link points, so
+        // when its write exhausts the retry budget the rewrite fails: the
+        // per-page path must not grant a second budget. Under the default
+        // limit of three, a fault that clears on the fifth attempt fails
+        // the rewrite, and so does a one-attempt fault under a zero limit.
+        for (limit, attempts) in [(3, 4), (0, 1)] {
+            let mut fs = fresh_fs();
+            let f = fs.create_file("budget").unwrap();
+            fs.write_file(f, &vec![1u8; 10 * PAGE_BYTES]).unwrap();
+            let da = page_da(&mut fs, f, 3);
+            fs.disk_mut().set_retries(limit);
+            fs.disk_mut().reset_stats();
+            fs.disk_mut()
+                .injector_mut()
+                .arm(da, FaultKind::NotReady { attempts });
+            let err = fs.write_file(f, &vec![2u8; 10 * PAGE_BYTES]);
+            assert!(
+                matches!(err, Err(FsError::Disk(DiskError::HardError { .. }))),
+                "limit {limit}: {err:?}"
+            );
+            let s = fs.disk().stats();
+            assert_eq!(s.soft_errors, u64::from(attempts), "limit {limit}");
+            assert_eq!(s.retries, u64::from(limit), "limit {limit}");
+            assert_eq!(s.hard_failures, 1, "limit {limit}");
+            assert_eq!(s.recovered, 0, "limit {limit}");
+        }
     }
 
     #[test]

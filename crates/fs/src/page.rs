@@ -19,7 +19,8 @@
 //!   reads guessed consecutive from a start page (§3.6), in one chain. It
 //!   serves whole-file reads and rewrites, the boot loader and the disk
 //!   stream's readahead and write-behind; [`confirmed_run`] tells a reader
-//!   how much of a guessed read to trust.
+//!   how much of a guessed read to trust, and [`confirmed_write_run`]
+//!   tells a writer how much of a guessed write.
 //! * [`read_raw_batch`] scans raw sectors, with no name to check them
 //!   against — the Scavenger's sweep.
 //! * [`read_pages_zero_copy`] lends named pages of many files to a visitor
@@ -36,6 +37,7 @@ use alto_disk::{
 };
 
 use crate::errors::FsError;
+use crate::file::PAGE_BYTES;
 use crate::names::{Fv, PageName};
 
 /// Verifies that a captured label carries exactly the intended absolutes.
@@ -326,8 +328,9 @@ pub fn read_pages_zero_copy<D, V>(
 /// member through a buffer ([`Disk::do_batch`]).
 ///
 /// A write address may be a guess too, as long as the check has teeth: a
-/// file serial low word of 0 is a check wildcard, which
-/// [`crate::descriptor`]'s serial assigner rules out for ordinary files.
+/// file serial low word of 0 is a check wildcard, so callers guess write
+/// addresses only for files whose low word is not 0, and
+/// [`confirmed_write_run`] counts how far the guesses held.
 #[allow(clippy::too_many_arguments)]
 pub fn transfer<D: Disk>(
     disk: &mut D,
@@ -461,6 +464,34 @@ pub fn confirmed_run(start: PageName, reads: &[PageResult]) -> usize {
         }
     }
     reads.len()
+}
+
+/// Counts the confirmed run of guessed writes that [`transfer`] issued at
+/// the consecutive addresses from `first`, a real link, given their
+/// captured labels: each entry verified against its full name, captured a
+/// full page's length and a `next` link naming the following guess. The
+/// run ends at the first entry that fails any of the three.
+///
+/// That entry is the only one past the run a writer may act on, and it
+/// sits at a link-confirmed address: `first`, or where its predecessor's
+/// link points. So a failure there is the file's failure, with the retry
+/// budget already spent, not a wrong guess. If it verified, its data
+/// landed: a short length marks a file's old tail, whose label must
+/// change; a nil link marks the file's end; any other link is a jump to
+/// follow. Every entry after it was a guess nobody confirmed. A guess
+/// that failed its check wrote nothing (§3.3).
+pub fn confirmed_write_run(first: DiskAddress, labels: &[Result<Label, FsError>]) -> usize {
+    for (j, res) in labels.iter().enumerate() {
+        let guess = DiskAddress(first.0.wrapping_add(j as u16 + 1));
+        match res {
+            Ok(label)
+                if usize::from(label.length) == PAGE_BYTES
+                    && !label.next.is_nil()
+                    && label.next == guess => {}
+            _ => return j,
+        }
+    }
+    labels.len()
 }
 
 /// Allocates the free sector `da` as the page with `label`, writing `data`.
@@ -1015,6 +1046,37 @@ mod tests {
         let stale = PageName::new(fv(), 1, DiskAddress(41));
         let (_, read) = transferred(&mut d, &[], Some(stale), 2);
         assert_eq!(confirmed_run(stale, &read), 0);
+    }
+
+    #[test]
+    fn confirmed_write_run_ends_at_a_short_page_a_nil_link_or_a_jump() {
+        let mut d = drive();
+        consecutive_pages(&mut d, 4);
+        let writes: Vec<_> = (0..5u16)
+            .map(|j| (j + 1, DiskAddress(40 + j), [7u16; DATA_WORDS]))
+            .collect();
+        let first = DiskAddress(40);
+        // Page 4 ends the file, and the guess for page 5 wrote nothing.
+        let (wrote, _) = transferred(&mut d, &writes, None, 0);
+        assert!(wrote[4].is_err());
+        assert_eq!(confirmed_write_run(first, &wrote), 3);
+        // Page 2 as a short page, then as a page that links elsewhere:
+        // either ends the run there.
+        let pn = PageName::new(fv(), 2, DiskAddress(41));
+        for (length, next) in [(100, DiskAddress(42)), (512, DiskAddress(90))] {
+            let label = Label {
+                length,
+                next,
+                ..label_for(2, DiskAddress(42), DiskAddress(40))
+            };
+            rewrite_label(&mut d, pn, label, &[7; DATA_WORDS]).unwrap();
+            let (wrote, _) = transferred(&mut d, &writes[..4], None, 0);
+            assert!(wrote[1].is_ok());
+            assert_eq!(confirmed_write_run(first, &wrote), 1, "{length} {next}");
+        }
+        // A first write that fails leaves no run at all.
+        let (wrote, _) = transferred(&mut d, &writes[4..], None, 0);
+        assert_eq!(confirmed_write_run(DiskAddress(44), &wrote), 0);
     }
 
     #[test]

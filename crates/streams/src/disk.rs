@@ -40,12 +40,28 @@
 //! invalidate. Label-changing pages (length growth, extension) never park:
 //! a label rewrite is a check pass plus a write pass on one sector and
 //! cannot chain.
+//!
+//! A bulk write does not read the pages it **overwrites whole**. Crossing
+//! into them, it writes them at guessed consecutive addresses from the
+//! current page's real `next` link, in one chain with the parked pages and
+//! a guessed read of the page the call ends in. An overwrite in place is
+//! an ordinary data write (§3.3): its label check refuses a wrong guess
+//! before the value transfers, and the check's wildcards capture the
+//! page's label. [`alto_fs::page::confirmed_write_run`], the rule
+//! `FileSystem::write_file` follows too, says how far the guesses held.
+//! The path applies where a refill would reach the same run: write-behind
+//! on, and a maybe-consecutive leader whose hinted last page lies straight
+//! ahead. It stops short of that page. Byte calls, partial pages, the
+//! hinted last page and files with a seam keep the read-then-write path,
+//! so a same-length rewrite of a straight file makes one pass over its
+//! sectors instead of two.
 
 use std::ops::Range;
 
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
-use alto_fs::file::{data_length, PAGE_BYTES};
+use alto_fs::file::{data_length, pack_bytes, PAGE_BYTES};
 use alto_fs::names::FileFullName;
+use alto_fs::page::{confirmed_run, confirmed_write_run};
 use alto_fs::{FileSystem, FsError, PageName};
 
 use crate::errors::StreamError;
@@ -281,35 +297,51 @@ impl<D: Disk> DiskByteStream<D> {
         if self.write_behind.is_empty() {
             return Ok(());
         }
-        self.chain(fs, None, 0)
+        self.chain(fs, 0, None, 0)
     }
 
-    /// Issues one chained batch: a write for every parked page, then
-    /// `read_count` guessed reads from `read_start`, whose results are left
-    /// in `read_results`. Each write is an ordinary data write at its known
-    /// address whose label check must pass before the value transfers
-    /// (§3.3), so a conflicting foreign change surfaces as an error here
-    /// rather than corrupting anything. A page whose write failed stays
-    /// parked and the first failure is reported: it is still owed to the
-    /// medium and surfaces again on the next drain, `flush` or `close`.
+    /// Issues one chained batch: a write for every page in `write_behind`,
+    /// then `read_count` guessed reads from `read_start`, whose results are
+    /// left in `read_results`. Each write is an ordinary data write whose
+    /// label check must pass before the value transfers (§3.3), so a
+    /// conflicting foreign change surfaces as an error here rather than
+    /// corrupting anything.
+    ///
+    /// All but the last `guessed` writes are parked pages at known
+    /// addresses. A parked page whose write failed stays parked and the
+    /// first failure is reported: it is still owed to the medium and
+    /// surfaces again on the next drain, `flush` or `close`. The last
+    /// `guessed` are whole pages a bulk write overwrites at guessed
+    /// addresses ([`Self::overwrite_ahead`]): they leave the buffer with the
+    /// batch, and their captured labels stay at the end of `write_results`
+    /// for the caller to judge.
+    ///
     /// The batch bumps the write epoch once for this stream's purposes: its
     /// own readahead stays valid (the parked pages all lie behind the read
-    /// cursor), so the epoch is re-stamped afterwards.
+    /// cursor), so the epoch is re-stamped afterwards. A foreign write
+    /// before the batch voids the readahead first, or the new stamp would
+    /// vouch for copies it made stale.
     fn chain(
         &mut self,
         fs: &mut FileSystem<D>,
+        guessed: usize,
         read_start: Option<PageName>,
         read_count: u16,
     ) -> Result<(), StreamError> {
+        if fs.disk().write_epoch() != self.medium_epoch {
+            self.ahead = 0..0;
+        }
         let mut writes = std::mem::take(&mut self.write_behind);
-        self.write_results.reserve(writes.len());
+        let sent = writes.len();
+        self.write_results.clear();
+        self.write_results.reserve(sent);
         // A pure drain leaves the readahead in `read_results` alone.
         let mut no_reads = Vec::new();
         let read_out = match read_start {
             Some(_) => &mut self.read_results,
             None => &mut no_reads,
         };
-        if let Err(e) = alto_fs::page::transfer(
+        let transferred = alto_fs::page::transfer(
             fs.disk_mut(),
             self.file.fv,
             &writes,
@@ -317,22 +349,24 @@ impl<D: Disk> DiskByteStream<D> {
             read_count,
             &mut self.write_results,
             read_out,
-        ) {
+        );
+        writes.truncate(sent - guessed);
+        if let Err(e) = transferred {
             // Pre-flight failure: the batch never reached the disk, so
             // every parked page is still owed.
             self.write_behind = writes;
             return Err(e.into());
         }
-        if !writes.is_empty() {
-            fs.disk_mut().note_write_behind(writes.len() as u64);
+        if sent > 0 {
+            fs.disk_mut().note_write_behind(sent as u64);
         }
         self.medium_epoch = fs.disk().write_epoch();
         let mut first_err = None;
-        let mut results = self.write_results.drain(..);
+        let mut results = self.write_results.iter();
         writes.retain(|&(page, da, _)| match results.next() {
             Some(Err(e)) => {
                 fs.disk_mut().note_unpark(da, page, UnparkOutcome::Reparked);
-                first_err.get_or_insert(e);
+                first_err.get_or_insert_with(|| e.clone());
                 true
             }
             _ => {
@@ -466,41 +500,129 @@ impl<D: Disk> DiskByteStream<D> {
         }
         self.ahead = 0..0;
         if self.consecutive_hint {
-            // Reach for the hinted last page only when its hinted address
-            // lies where a straight run from here would put it: past a
-            // seam every guess fails its check, and each failure halts
-            // the chain.
-            let last = self.last_page_hint;
-            let hinted = match last.page.checked_sub(page) {
-                Some(ahead) if last.da.0 == da.0.wrapping_add(ahead) => usize::from(ahead) + 1,
-                _ => 0,
-            };
-            let count = extent.min(hinted).max(READAHEAD_PAGES.into());
+            let count = extent
+                .min(self.straight_run(page, da))
+                .max(READAHEAD_PAGES.into());
             let count = u16::try_from(count).unwrap_or(u16::MAX);
             // Room for the whole refill up front: one allocation at most,
             // not a series of doublings.
             self.read_results.clear();
             self.read_results.reserve(count.into());
             let start = PageName::new(self.file.fv, page, da);
-            self.chain(fs, Some(start), count)?;
+            self.chain(fs, 0, Some(start), count)?;
+            // Entry 0 sits at the current page's real link, and the chain
+            // already spent its retry budget there: its failure is this
+            // crossing's, not a cue to read the page again afresh.
+            let (label, buffer) = self.read_results[0].clone()?;
+            self.enter_page(page, da, label, buffer)?;
             // Keep followers only while the verified links confirm the
             // guessed consecutive run.
-            let run = alto_fs::page::confirmed_run(start, &self.read_results);
-            if let Some(&Ok((label, buffer))) = self.read_results[..run].first() {
-                self.enter_page(page, da, label, buffer)?;
-                self.refill_start = start;
-                self.ahead = 1..run;
-                if run > 1 {
-                    fs.disk_mut().note_readahead(0, run as u64 - 1);
-                }
-                return Ok(());
+            let run = confirmed_run(start, &self.read_results);
+            self.refill_start = start;
+            self.ahead = 1..run;
+            if run > 1 {
+                fs.disk_mut().note_readahead(0, run as u64 - 1);
             }
-            // Entry 0 failed: the hint chain is authoritative there, so let
-            // the ordinary path (with its hint recovery) handle it. The
-            // drain already happened.
+            return Ok(());
         }
         self.drain(fs)?;
         self.load_page(fs, page, da)
+    }
+
+    /// How many pages run from `page` at `da` through the leader's hinted
+    /// last page, when that page's hinted address lies where a straight run
+    /// from here would put it, and 0 otherwise: past a seam every guess
+    /// fails its check, and each failure halts the chain.
+    fn straight_run(&self, page: u16, da: DiskAddress) -> usize {
+        let last = self.last_page_hint;
+        match last.page.checked_sub(page) {
+            Some(ahead) if last.da.0 == da.0.wrapping_add(ahead) => usize::from(ahead) + 1,
+            _ => 0,
+        }
+    }
+
+    /// Crossing out of the current page into whole pages a bulk write
+    /// overwrites: writes them without reading them first, at guessed
+    /// consecutive addresses from the current page's real `next` link. An
+    /// overwrite in place is an ordinary data write (§3.3): its label check
+    /// refuses a wrong guess before the value transfers, and the check's
+    /// wildcards capture each page's label. The writes ride one chain with
+    /// the parked pages and a guessed read of the page the call ends in,
+    /// if it ends inside one.
+    ///
+    /// It applies where a refill would guess the same run: write-behind on,
+    /// a maybe-consecutive leader whose hinted last page lies straight
+    /// ahead, and a serial whose low word gives the check teeth (a 0 word
+    /// is a wildcard). It stops short of the hinted last page, which the
+    /// call reads and rewrites like any page whose label it may change.
+    ///
+    /// [`confirmed_write_run`] says how far the guesses held, and the
+    /// cursor rests at offset 512 of the last page that landed: one whose
+    /// captured length is short (a stale hint's old tail) becomes a label
+    /// change, and one whose link is nil or departs from the guesses is
+    /// where the next crossing extends the file or follows the real link.
+    /// A failure at a link-confirmed address is the call's error. Returns
+    /// how many bytes of `rest` landed, 0 when the path does not apply.
+    fn overwrite_ahead(
+        &mut self,
+        fs: &mut FileSystem<D>,
+        rest: &[u8],
+    ) -> Result<usize, StreamError> {
+        let (page, da) = (self.page + 1, self.label.next);
+        let whole = (rest.len() / PAGE_BYTES).min(self.straight_run(page, da).saturating_sub(1));
+        if whole == 0
+            || !self.write_behind_enabled
+            || !self.consecutive_hint
+            || self.file.fv.serial.words()[1] == 0
+        {
+            return Ok(0);
+        }
+        // The chain below takes every parked page with it, this one
+        // included, and the readahead goes: the pages ahead are overwritten.
+        self.park_or_flush(fs)?;
+        self.ahead = 0..0;
+        let guess = |j: usize| DiskAddress(da.0.wrapping_add(j as u16));
+        for (j, chunk) in rest.chunks_exact(PAGE_BYTES).take(whole).enumerate() {
+            let mut data = [0; DATA_WORDS];
+            pack_bytes(chunk, &mut data);
+            self.write_behind.push((page + j as u16, guess(j), data));
+        }
+        let tail = PageName::new(self.file.fv, page + whole as u16, guess(whole));
+        let read_tail = rest.len() > whole * PAGE_BYTES;
+        self.chain(fs, whole, read_tail.then_some(tail), 1)?;
+        let labels = &self.write_results[self.write_results.len() - whole..];
+        let run = confirmed_write_run(da, labels);
+        // Every page of the run landed, and so did the entry that ended it
+        // unless it failed where a confirmed link points.
+        let end = run.min(whole - 1);
+        let failed = labels[end].as_ref().err().cloned();
+        let landed = if failed.is_some() { end } else { end + 1 };
+        let rest_on = labels[..landed].last().and_then(|r| r.as_ref().ok());
+        if let Some(&label) = rest_on {
+            let j = landed - 1;
+            let mut buffer = [0; DATA_WORDS];
+            pack_bytes(&rest[j * PAGE_BYTES..(j + 1) * PAGE_BYTES], &mut buffer);
+            self.enter_page(page + j as u16, guess(j), label, buffer)?;
+            self.offset = PAGE_BYTES;
+            if usize::from(label.length) < PAGE_BYTES {
+                // The data landed, but the page was the file's old tail:
+                // its length grows to a whole page, a label rewrite.
+                self.label.length = PAGE_BYTES as u16;
+                self.dirty = true;
+                self.label_changed = true;
+                self.resized = true;
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e.into());
+        }
+        if run == whole && read_tail {
+            // The last link names the guess, so the tail's read was at a
+            // link-confirmed address too.
+            let (label, buffer) = self.read_results[0].clone()?;
+            self.enter_page(tail.page, tail.da, label, buffer)?;
+        }
+        Ok(landed * PAGE_BYTES)
     }
 
     fn byte_at(&self, i: usize) -> u8 {
@@ -642,20 +764,22 @@ impl<D: Disk> DiskByteStream<D> {
     }
 
     /// Writes all of `bytes`, moving whole runs into the page buffer with
-    /// slice copies. Page crossings ride the same readahead and
-    /// write-behind machinery as [`Self::put_byte`], sized by the call: a
-    /// crossing refills with every page still to be rewritten, and the
-    /// pages the call parks are held until it ends, then drained as one
-    /// chained batch, so it returns with at most `WRITE_BEHIND_PAGES`
-    /// parked.
+    /// slice copies. A crossing into pages the call overwrites whole writes
+    /// them without reading them, in one chain (see the module docs). Other
+    /// crossings ride the same readahead and write-behind machinery as
+    /// [`Self::put_byte`], sized by the call: a crossing refills with every
+    /// page still to be rewritten, and the pages the call parks are held
+    /// until it ends, then drained as one chained batch, so it returns with
+    /// at most `WRITE_BEHIND_PAGES` parked.
     pub fn write_bytes(&mut self, fs: &mut FileSystem<D>, bytes: &[u8]) -> Result<(), StreamError> {
         self.check_open()?;
         // One park per page the call crosses out of: that is its buffer
-        // pressure, and the room the parks need.
+        // pressure. A chain of whole-page overwrites holds one entry more
+        // than the crossings it covers, the page it rests on.
         let crossings = (self.offset + bytes.len())
             .div_ceil(PAGE_BYTES)
             .saturating_sub(1);
-        self.write_behind.reserve(crossings);
+        self.write_behind.reserve(crossings + 1);
         let copied = self.copy_into_pages(fs, bytes, crossings.max(WRITE_BEHIND_PAGES));
         // Also after a failed copy: no call leaves more than the floor
         // parked, so a crash after it returns loses no more than a byte
@@ -682,6 +806,11 @@ impl<D: Disk> DiskByteStream<D> {
                 if self.label.next.is_nil() {
                     self.extend(fs)?;
                 } else {
+                    let landed = self.overwrite_ahead(fs, &bytes[done..])?;
+                    if landed > 0 {
+                        done += landed;
+                        continue;
+                    }
                     let extent = (bytes.len() - done).div_ceil(PAGE_BYTES);
                     self.advance_to_next_page(fs, extent, hold)?;
                 }
@@ -1005,13 +1134,19 @@ mod tests {
         assert_eq!(fs.read_file(g).unwrap(), want);
     }
 
-    /// Sets the length word of page `k`'s label on the platter, behind the
-    /// file system's back.
-    fn smash_length(fs: &mut Fs, f: FileFullName, k: u16, length: u16) {
+    /// The address of page `k` of `f`, found by following the links.
+    fn page_da(fs: &mut Fs, f: FileFullName, k: u16) -> DiskAddress {
         let mut da = fs.open_leader(f).unwrap().0.next;
         for page in 1..k {
             da = fs.read_page(PageName::new(f.fv, page, da)).unwrap().0.next;
         }
+        da
+    }
+
+    /// Sets the length word of page `k`'s label on the platter, behind the
+    /// file system's back.
+    fn smash_length(fs: &mut Fs, f: FileFullName, k: u16, length: u16) {
+        let da = page_da(fs, f, k);
         let pack = fs.disk_mut().pack_mut().unwrap();
         pack.sector_mut(da).unwrap().label[4] = length;
     }
@@ -1267,6 +1402,65 @@ mod tests {
     }
 
     #[test]
+    fn a_failure_at_a_linked_address_is_the_calls_error() {
+        use alto_disk::{DiskError, FaultKind};
+        // A refill's first read and a whole-page overwrite right behind a
+        // confirmed link both sit where a real link points. Once the chain
+        // has spent the retry budget there, the call fails instead of
+        // trying again with a fresh one: under the default limit of three,
+        // a fault that clears on the fifth attempt fails the call, and so
+        // does a one-attempt fault under a zero limit.
+        let hard = |r: Option<StreamError>| {
+            matches!(
+                r,
+                Some(StreamError::Fs(FsError::Disk(DiskError::HardError { .. })))
+            )
+        };
+        for (limit, attempts) in [(3, 4), (0, 1)] {
+            let mut fs = fresh_fs();
+            let f = file_named(&mut fs, "budget.dat");
+            let old: Vec<u8> = (0..10 * PAGE_BYTES as u32).map(|i| i as u8).collect();
+            fs.write_file(f, &old).unwrap();
+            fs.disk_mut().set_retries(limit);
+            let spent = |fs: &Fs| {
+                let s = fs.disk().stats();
+                (s.soft_errors, s.retries, s.hard_failures, s.recovered)
+            };
+            let want = (u64::from(attempts), u64::from(limit), 1, 0);
+
+            // Page 2 is the first read of the refill that crosses into it.
+            let da = page_da(&mut fs, f, 2);
+            fs.disk_mut().reset_stats();
+            let inj = fs.disk_mut().injector_mut();
+            inj.arm_read(da, FaultKind::SoftRead { attempts });
+            let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+            let mut all = vec![0u8; 10 * PAGE_BYTES];
+            assert!(hard(s.read_bytes(&mut fs, &mut all).err()), "read, {limit}");
+            assert_eq!(s.position(), PAGE_BYTES as u64);
+            assert_eq!(spent(&fs), want, "read, limit {limit}");
+
+            // Page 3 lies where page 2's captured link points.
+            let da = page_da(&mut fs, f, 3);
+            fs.disk_mut().reset_stats();
+            let inj = fs.disk_mut().injector_mut();
+            inj.arm(da, FaultKind::NotReady { attempts });
+            let new = vec![0xEEu8; 10 * PAGE_BYTES];
+            let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+            assert!(hard(s.write_bytes(&mut fs, &new).err()), "write, {limit}");
+            // The cursor rests on page 2, the last page the run confirmed.
+            assert_eq!(s.position(), 2 * PAGE_BYTES as u64);
+            assert_eq!(spent(&fs), want, "write, limit {limit}");
+            s.close(&mut fs).unwrap();
+            let back = fs.read_file(f).unwrap();
+            assert_eq!(&back[..2 * PAGE_BYTES], &new[..2 * PAGE_BYTES]);
+            assert_eq!(
+                &back[2 * PAGE_BYTES..3 * PAGE_BYTES],
+                &old[2 * PAGE_BYTES..3 * PAGE_BYTES]
+            );
+        }
+    }
+
+    #[test]
     fn bulk_refill_stops_short_of_a_seam() {
         // Ten pages, another file right behind them, then twenty pages
         // appended through a stream: the new pages start past the other
@@ -1297,29 +1491,162 @@ mod tests {
             after.readahead_prefetched - before.readahead_prefetched,
             3 + 3 + 19
         );
+        s.close(&mut fs).unwrap();
+
+        // A bulk rewrite of the whole file crosses the seam the same way:
+        // no whole page is written blind until the run is straight, so no
+        // guessed write reaches the file behind the seam.
+        let new: Vec<u8> = (0..30 * PAGE_BYTES as u32).map(|i| i as u8).collect();
+        let before = fs.disk().stats();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        s.write_bytes(&mut fs, &new).unwrap();
+        s.close(&mut fs).unwrap();
+        // The refills into pages 2, 6 and 10 read the floor, and the only
+        // failed checks are again the three guesses past page 10. From page
+        // 11 the run is straight: pages 11..29 are written without a read,
+        // in one chain with a read of page 30, the hinted last page.
+        let after = fs.disk().stats();
+        assert_eq!(after.failed_checks - before.failed_checks, 3);
+        assert_eq!(
+            after.readahead_prefetched - before.readahead_prefetched,
+            3 + 3
+        );
+        assert_eq!(fs.read_file(f).unwrap(), new);
+        assert_eq!(fs.read_file(g).unwrap(), vec![2u8; 5 * PAGE_BYTES]);
+    }
+
+    #[test]
+    fn whole_pages_overwrite_past_a_stale_tail() {
+        use alto_fs::Scavenger;
+        // A ten-page file whose last page holds 100 bytes, under a leader
+        // that still names page 12, straight ahead, as the last page: the
+        // hints of a file truncated by a rewrite that never finished.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "tail.dat");
+        fs.write_file(f, &vec![1u8; 9 * PAGE_BYTES + 100]).unwrap();
+        let mut leader = fs.read_leader(f).unwrap();
+        leader.last_page = 12;
+        leader.last_da = DiskAddress(leader.last_da.0 + 2);
+        fs.write_leader(f, &leader).unwrap();
+        let before = fs.disk().stats();
+
+        // Rewrite it as twelve whole pages in one call. Pages 2..11 go out
+        // blind: 2..9 confirm, page 10's captured length is short, so it
+        // grows to a whole page, and the guess for page 11 fails its check
+        // and writes nothing. The file then extends by two pages.
+        let new: Vec<u8> = (0..12 * PAGE_BYTES as u32)
+            .map(|i| (i % 253) as u8)
+            .collect();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        s.write_bytes(&mut fs, &new).unwrap();
+        s.close(&mut fs).unwrap();
+        let after = fs.disk().stats();
+        // The guessed write of page 11 and the guessed read of page 12.
+        assert_eq!(after.failed_checks - before.failed_checks, 2);
+
+        assert_eq!(fs.read_file(f).unwrap(), new);
+        assert_eq!(fs.file_length(f).unwrap(), 12 * PAGE_BYTES as u64);
+        let leader = fs.read_leader(f).unwrap();
+        assert_eq!(leader.last_page, 12);
+        assert_eq!(leader.last_da, page_da(&mut fs, f, 12));
+        for k in 1..=12 {
+            let da = page_da(&mut fs, f, k);
+            let (label, _) = fs.read_page(PageName::new(f.fv, k, da)).unwrap();
+            assert_eq!(usize::from(label.length), PAGE_BYTES, "page {k}");
+        }
+        // Every label and link is as a clean system leaves it.
+        let report = Scavenger::run(&mut fs).unwrap();
+        let repairs = [
+            report.bad_pages,
+            report.duplicate_pages_freed,
+            report.headless_pages_freed,
+            report.truncated_pages_freed,
+            report.links_repaired,
+            report.lengths_normalized,
+            report.entries_fixed,
+            report.entries_dropped,
+            report.orphans_adopted,
+        ];
+        assert_eq!(repairs, [0; 9], "{report:?}");
+        assert_eq!(fs.read_file(f).unwrap(), new);
+    }
+
+    #[test]
+    fn whole_page_overwrites_resume_where_a_link_leaves_the_guesses() {
+        use alto_fs::Scavenger;
+        // Page 6 of 12 moved away under a leader that still says
+        // maybe-consecutive, with page 12 still straight ahead of page 2,
+        // so a bulk rewrite sends pages 2..11 without reading them.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "moved.dat");
+        fs.write_file(f, &vec![1u8; 12 * PAGE_BYTES]).unwrap();
+        relocate(&mut fs, f, 6);
+        assert!(fs.read_leader(f).unwrap().maybe_consecutive);
+        let new: Vec<u8> = (0..12 * PAGE_BYTES as u32)
+            .map(|i| (i % 249) as u8)
+            .collect();
+        let before = fs.disk().stats();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        s.write_bytes(&mut fs, &new).unwrap();
+        s.close(&mut fs).unwrap();
+        // The run ends at page 5, whose link leaves the guesses. The guess
+        // for page 6 finds the sector it left and writes nothing (one
+        // failed check); the stream goes on from page 5's real link, where
+        // a refill at the floor guesses three pages past page 6 in vain,
+        // and from page 7 the run is straight again.
+        let after = fs.disk().stats();
+        assert_eq!(after.failed_checks - before.failed_checks, 1 + 3);
+        assert_eq!(fs.read_file(f).unwrap(), new);
+        let report = Scavenger::run(&mut fs).unwrap();
+        assert_eq!(report.links_repaired + report.lengths_normalized, 0);
+        assert_eq!(
+            report.truncated_pages_freed + report.duplicate_pages_freed,
+            0
+        );
+        assert_eq!(fs.read_file(f).unwrap(), new);
     }
 
     #[test]
     fn interleaved_stream_writes_invalidate_readahead() {
-        let mut fs = fresh_fs();
-        let f = file_named(&mut fs, "mix.dat");
-        fs.write_file(f, &vec![0u8; 2500]).unwrap();
-        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
-        for _ in 0..1024 {
-            s.get_byte(&mut fs).unwrap(); // prefetches pages 3..5
+        // Read two pages, or write them and read on into page 3: either way
+        // the crossing into page 2 prefetched pages 3..5. The writer also
+        // parked page 2, and flushes it after the foreign write below; its
+        // own drain must not vouch for copies prefetched before that write.
+        for writer in [false, true] {
+            let mut fs = fresh_fs();
+            let f = file_named(&mut fs, "mix.dat");
+            fs.write_file(f, &vec![0u8; 2500]).unwrap();
+            let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+            for _ in 0..1024 {
+                if writer {
+                    s.put_byte(&mut fs, 0).unwrap();
+                } else {
+                    s.get_byte(&mut fs).unwrap();
+                }
+            }
+            let read_from = if writer {
+                s.get_byte(&mut fs).unwrap();
+                1025
+            } else {
+                1024
+            };
+            // Write one byte into page 4 through a second stream.
+            let mut w = DiskByteStream::open(&mut fs, f).unwrap();
+            w.set_position(&mut fs, 3 * 512 + 7).unwrap();
+            w.put_byte(&mut fs, 0xCC).unwrap();
+            w.close(&mut fs).unwrap();
+            if writer {
+                s.flush(&mut fs).unwrap();
+            }
+            // Keep reading sequentially: page 4 was prefetched *before* the
+            // write, so a cache that survived it would serve the old byte.
+            for i in read_from..2500 {
+                let expect = if i == 3 * 512 + 7 { 0xCC } else { 0 };
+                let got = s.get_byte(&mut fs).unwrap();
+                assert_eq!(got, expect, "byte {i}, writer {writer}");
+            }
+            assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
         }
-        // Write one byte into page 4 through a second stream.
-        let mut w = DiskByteStream::open(&mut fs, f).unwrap();
-        w.set_position(&mut fs, 3 * 512 + 7).unwrap();
-        w.put_byte(&mut fs, 0xCC).unwrap();
-        w.close(&mut fs).unwrap();
-        // Keep reading sequentially: page 4 was prefetched *before* the
-        // write, so a cache that survived it would serve the old byte.
-        for i in 1024..2500 {
-            let expect = if i == 3 * 512 + 7 { 0xCC } else { 0 };
-            assert_eq!(s.get_byte(&mut fs).unwrap(), expect, "byte {i}");
-        }
-        assert_eq!(s.get_byte(&mut fs), Err(StreamError::EndOfStream));
     }
 
     #[test]

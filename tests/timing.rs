@@ -50,10 +50,11 @@ fn e1_band_stream_read_keeps_up_with_read_file() {
 }
 
 /// E1, stream path — a same-length whole-file `write_bytes` plus `close`
-/// (which reads every page before rewriting it) stays under 1.9x
-/// `write_file`'s time for E1's 64K words.
+/// overwrites its whole pages without reading them, in one chain with a
+/// read of the last page, so it moves E1's 64K words no slower than
+/// `write_file` does.
 #[test]
-fn e1_band_stream_rewrite_within_1_9x_write_file() {
+fn e1_band_stream_rewrite_keeps_up_with_write_file() {
     let mut fs = fresh_fs(DiskModel::Diablo31);
     let f = consecutive_file(&mut fs, "rate.dat", 256);
     let bytes = vec![0x3Cu8; 256 * 512];
@@ -64,7 +65,7 @@ fn e1_band_stream_rewrite_within_1_9x_write_file() {
         s.close(fs).unwrap();
     });
     assert!(
-        stream < 1.9 * file,
+        stream <= file,
         "stream rewrite {stream:.3} s vs write_file {file:.3} s"
     );
     assert_eq!(fs.read_file(f).unwrap(), bytes);

@@ -170,6 +170,30 @@ fn crash_after_a_bulk_write_recovers_clean() {
         );
     }
     assert!(new_pages <= 20);
+
+    // A call that ends inside page 21 sends pages 1..20 in one chain, the
+    // whole pages among them without a read, and crash right after it:
+    // every page the chain wrote is new, and the page the call ended in
+    // is wholly old, its new bytes still in the stream's buffer.
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let f = consecutive_file(&mut fs, "chain.dat", 24);
+    let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+    s.write_bytes(&mut fs, &vec![0x77u8; 20 * PAGE + PAGE / 2])
+        .unwrap();
+    let (mut fs, _report) = Scavenger::rebuild(fs.crash()).unwrap();
+    let root = fs.root_dir();
+    let f = dir::lookup(&mut fs, root, "chain.dat").unwrap().unwrap();
+    let bytes = fs.read_file(f).unwrap();
+    assert_eq!(bytes.len(), 24 * PAGE);
+    for (i, page) in bytes.chunks(PAGE).enumerate() {
+        let want = if i < 20 { 0x77 } else { 0xA5 };
+        assert!(
+            page.iter().all(|&b| b == want),
+            "page {} is not wholly {}",
+            i + 1,
+            if i < 20 { "new" } else { "old" }
+        );
+    }
 }
 
 #[test]
