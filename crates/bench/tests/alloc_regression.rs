@@ -185,13 +185,13 @@ fn pooled_steady_state_paths_allocate_nothing() {
         "a write read ahead of pages it overwrites whole"
     );
     // One chain per call: page 1, parked at the first crossing, and pages
-    // 2..15, overwritten whole at guessed addresses, ride with a read of
-    // page 16, the hinted last page. Nothing is left parked for a drain at
-    // the end of the call; the rewind flushes page 16, the current page.
+    // 2..16, overwritten whole at guessed addresses, the hinted last page
+    // among them. Nothing is read, nothing is left parked for a drain at
+    // the end of the call, and the rewind has no dirty page to flush.
     let io = fs.disk().io_stats();
     assert_eq!(
         (io.wb_drains - drains, io.wb_coalesced - parked),
-        (ROUNDS as u64, 15 * ROUNDS as u64),
+        (ROUNDS as u64, 16 * ROUNDS as u64),
         "a write did not send its pages in one chain"
     );
 

@@ -264,8 +264,15 @@ impl<'a, D: Disk> BootServer<'a, D> {
     }
 }
 
-/// One file held open on behalf of the fleet: its identity plus the
-/// per-page disk-address hints the service has learned so far.
+/// How many pages the service reads ahead of a file's highest requested
+/// page: 16 pages, 8 KiB of core per served file. The depth is set by
+/// memory, not by the disk: every page deeper saves more revolutions, but
+/// the window is held for every file the server has open.
+const READAHEAD_PAGES: u16 = 16;
+
+/// One file held open on behalf of the fleet: its identity, its length,
+/// the per-page disk-address hints the service has learned so far and
+/// the pages it has read ahead.
 #[derive(Debug)]
 struct ServedFile {
     file: FileFullName,
@@ -274,6 +281,113 @@ struct ServedFile {
     /// a wrong guess costs a check miss, never wrong data) and corrected
     /// from the labels every served batch captures.
     hints: Vec<DiskAddress>,
+    /// The file's length in bytes, as the last measurement found it.
+    length: u64,
+    /// The disk's [`Disk::write_epoch`] when `length` was measured: the
+    /// length is an in-core copy of disk state, good only while no write
+    /// has reached the medium since.
+    measured: u64,
+    /// The highest page requested in the batch being served; 0 between
+    /// batches.
+    top: u16,
+    window: Window,
+}
+
+impl ServedFile {
+    /// What an open of this file answers.
+    fn info(&self, open_id: u32) -> OpenInfo {
+        let pages = self.length.div_ceil(PAGE_BYTES as u64).max(1) as u16;
+        let last_len = (self.length - (pages as u64 - 1) * PAGE_BYTES as u64) as u16;
+        OpenInfo {
+            open_id,
+            pages,
+            last_len,
+        }
+    }
+}
+
+/// The pages read ahead of one file's sequential clients, held in core
+/// so that a later request for one costs no disk command. The window
+/// covers the pages `first..first + READAHEAD_PAGES`, and page `p` sits
+/// in slot `p % READAHEAD_PAGES`, so moving the window keeps in place
+/// the pages both positions cover. Like every in-core copy of disk state
+/// (the hint cache, the stream's readahead), the copies stand only while
+/// the disk's [`Disk::write_epoch`] stands still.
+#[derive(Debug)]
+struct Window {
+    first: u16,
+    /// Bit `p % READAHEAD_PAGES` is set while page `p` is held.
+    held: u32,
+    /// The same bit, set once a held page has been delivered: the prefetch
+    /// was useful.
+    used: u32,
+    /// The write epoch the copies were made under.
+    epoch: u64,
+    /// The slots, allocated with the file's open record: in open order,
+    /// beside the hints, a service that replaces another reuses its heap.
+    /// Allocated at the first read-ahead, mid-serve, they fragment it
+    /// (`serve_paging`'s peak RSS is about 0.2 MiB higher).
+    pages: Vec<[u16; DATA_WORDS]>,
+}
+
+impl Window {
+    fn new() -> Window {
+        Window {
+            first: 0,
+            held: 0,
+            used: 0,
+            epoch: 0,
+            pages: vec![[0; DATA_WORDS]; READAHEAD_PAGES.into()],
+        }
+    }
+
+    fn bit(page: u16) -> u32 {
+        1 << (page % READAHEAD_PAGES)
+    }
+
+    /// True if `page` is held.
+    fn holds(&self, page: u16) -> bool {
+        u32::from(page).wrapping_sub(u32::from(self.first)) < u32::from(READAHEAD_PAGES)
+            && self.held & Self::bit(page) != 0
+    }
+
+    /// The held copy of `page`, if the disk has not been written since it
+    /// was made, and whether this is its first delivery.
+    fn get(&mut self, page: u16, epoch: u64) -> Option<(&[u16; DATA_WORDS], bool)> {
+        if self.epoch != epoch || !self.holds(page) {
+            return None;
+        }
+        let bit = Self::bit(page);
+        let first_use = self.used & bit == 0;
+        self.used |= bit;
+        Some((&self.pages[usize::from(page % READAHEAD_PAGES)], first_use))
+    }
+
+    /// Moves the window to start at page `first`, keeping the held pages
+    /// the new position still covers (none if the disk was written since
+    /// they were read).
+    fn move_to(&mut self, first: u16, epoch: u64) {
+        if self.epoch != epoch {
+            self.held = 0;
+            self.epoch = epoch;
+        }
+        let mut held = 0;
+        for page in (first..=u16::MAX).take(READAHEAD_PAGES.into()) {
+            if self.holds(page) {
+                held |= Self::bit(page);
+            }
+        }
+        self.first = first;
+        self.held = held;
+        self.used &= held;
+    }
+
+    /// Holds a copy of `page`, which the window covers.
+    fn hold(&mut self, page: u16, data: &[u16; DATA_WORDS]) {
+        self.pages[usize::from(page % READAHEAD_PAGES)] = *data;
+        self.held |= Self::bit(page);
+        self.used &= !Self::bit(page);
+    }
 }
 
 /// The disk end of the page server: an [`alto_net::PageStore`] over a real
@@ -286,6 +400,14 @@ struct ServedFile {
 /// one lent sector is delivered to every requester. Pages whose hints went
 /// stale fall back to a leader-chain walk, relearning the hints as they
 /// go — one walk per distinct page, however many clients asked for it.
+///
+/// Clients read their files front to back, so the service reads ahead:
+/// when a batch misses a file, the same chain also reads up to 16 pages
+/// (8 KiB) after the file's highest requested page, at their hinted
+/// addresses, and holds the ones whose labels verify. A
+/// later request for a held page is delivered from memory at the start of
+/// the next batch, with no disk command. A prefetched page that fails its
+/// check is simply not held: it costs no chain walk and no retry.
 #[derive(Debug)]
 pub struct FsPageService<'a, D: Disk> {
     fs: &'a mut FileSystem<D>,
@@ -294,14 +416,18 @@ pub struct FsPageService<'a, D: Disk> {
     // Scratch, reused across serve calls.
     order: Vec<usize>,
     names: Vec<PageName>,
-    /// The batch's distinct page names, in disk-address order.
+    /// The batch's distinct requested page names, in disk-address order,
+    /// then the pages read ahead.
     distinct: Vec<PageName>,
     /// `order[groups[k]..groups[k + 1]]` are the requesters of
     /// `distinct[k]`.
     groups: Vec<usize>,
+    /// The open id of each page read ahead, in `distinct` order.
+    ahead: Vec<u32>,
     valid: Vec<PageRequest>,
     labels: Vec<Result<Label, FsError>>,
-    /// Requests served through the batched fast path.
+    /// Requests served through the batched fast path or from a readahead
+    /// window.
     pub fast_served: u64,
     /// Requests that needed the chain-walk slow path (stale hints).
     pub slow_served: u64,
@@ -318,6 +444,7 @@ impl<'a, D: Disk> FsPageService<'a, D> {
             names: Vec::new(),
             distinct: Vec::new(),
             groups: Vec::new(),
+            ahead: Vec::new(),
             valid: Vec::new(),
             labels: Vec::new(),
             fast_served: 0,
@@ -366,72 +493,44 @@ impl<'a, D: Disk> FsPageService<'a, D> {
         }
         data.ok_or(STATUS_IO)
     }
-}
 
-impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
-    fn open(&mut self, name: &str) -> Result<OpenInfo, u16> {
-        if let Some(&open_id) = self.by_name.get(name) {
-            // Re-measure on every re-open: a scavenge between opens can
-            // shrink or grow the file, and sizing from the stale hint
-            // vector would underflow the last-page length below.
-            let file = self.opens[open_id as usize].file;
-            let length = self.fs.file_length(file).map_err(|_| STATUS_IO)?;
-            let pages = length.div_ceil(PAGE_BYTES as u64).max(1) as u16;
-            let last_len = (length - (pages as u64 - 1) * PAGE_BYTES as u64) as u16;
-            let open = &mut self.opens[open_id as usize];
-            open.hints.resize(pages as usize, DiskAddress::NIL);
-            return Ok(OpenInfo {
-                open_id,
-                pages,
-                last_len,
-            });
-        }
-        let root = self.fs.root_dir();
-        let file = dir::lookup(self.fs, root, name)
-            .map_err(|_| STATUS_IO)?
-            .ok_or(STATUS_NO_SUCH_FILE)?;
-        let (leader_label, _) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
-        let length = self.fs.file_length(file).map_err(|_| STATUS_IO)?;
-        let pages = length.div_ceil(PAGE_BYTES as u64).max(1) as u16;
-        let last_len = (length - (pages as u64 - 1) * PAGE_BYTES as u64) as u16;
-        // Seed the hints with consecutive guesses from page 1's address:
-        // allocation strives for consecutive pages, and the label check
-        // turns any wrong guess into a clean per-page miss.
-        let first = leader_label.next;
-        let hints = (0..pages)
-            .map(|p| {
-                if first == DiskAddress::NIL {
-                    DiskAddress::NIL
-                } else {
-                    DiskAddress(first.0.wrapping_add(p))
-                }
-            })
-            .collect();
-        let open_id = self.opens.len() as u32;
-        self.opens.push(ServedFile { file, hints });
-        self.by_name.insert(name.to_string(), open_id);
-        Ok(OpenInfo {
-            open_id,
-            pages,
-            last_len,
-        })
-    }
-
-    fn serve<F>(&mut self, reqs: &[PageRequest], failed: &mut Vec<(u32, u16)>, mut deliver: F)
-    where
+    /// Serves a batch of page reads; `read_ahead` says whether the batch
+    /// uses the readahead windows, delivering held pages and reading
+    /// ahead of the files it misses.
+    fn serve_batch<F>(
+        &mut self,
+        reqs: &[PageRequest],
+        read_ahead: bool,
+        failed: &mut Vec<(u32, u16)>,
+        mut deliver: F,
+    ) where
         F: FnMut(u32, &[u16; DATA_WORDS]),
     {
+        let epoch = self.fs.disk().write_epoch();
         // Refuse ill-formed requests up front — a forged open id or a page
         // number outside the open file (page 0 is the leader, never
-        // served) must fail with a status, not index out of bounds. Only
+        // served) must fail with a status, not index out of bounds.
+        // Held pages go out at once, from memory; only the rest of the
         // well-formed requests enter the batch.
         let mut valid = std::mem::take(&mut self.valid);
         valid.clear();
+        let mut hits = 0;
         for r in reqs {
-            match self.opens.get(r.open_id as usize) {
+            match self.opens.get_mut(r.open_id as usize) {
                 None => failed.push((r.tag, STATUS_BAD_HANDLE)),
                 Some(open) if r.page == 0 || r.page as usize > open.hints.len() => {
                     failed.push((r.tag, STATUS_BAD_PAGE));
+                }
+                Some(open) if read_ahead => {
+                    open.top = open.top.max(r.page);
+                    match open.window.get(r.page, epoch) {
+                        Some((data, first_use)) => {
+                            hits += u64::from(first_use);
+                            self.fast_served += 1;
+                            deliver(r.tag, data);
+                        }
+                        None => valid.push(*r),
+                    }
                 }
                 Some(_) => valid.push(*r),
             }
@@ -461,32 +560,78 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
             }
         }
         self.groups.push(self.order.len());
+        let wanted = self.distinct.len();
+
+        // Read ahead of every file the batch misses: the pages after its
+        // highest requested page that the window does not hold yet, at
+        // their hinted addresses, up to the file's last page.
+        self.ahead.clear();
+        if read_ahead {
+            for r in &valid {
+                let open = &mut self.opens[r.open_id as usize];
+                let top = std::mem::take(&mut open.top);
+                if top == 0 || usize::from(top) >= open.hints.len() {
+                    continue;
+                }
+                open.window.move_to(top + 1, epoch);
+                for page in (top + 1..=u16::MAX).take(READAHEAD_PAGES.into()) {
+                    let Some(&da) = open.hints.get(usize::from(page) - 1) else {
+                        break;
+                    };
+                    if !da.is_nil() && !open.window.holds(page) {
+                        self.distinct.push(PageName::new(open.file.fv, page, da));
+                        self.ahead.push(r.open_id);
+                    }
+                }
+            }
+            for r in reqs {
+                if let Some(open) = self.opens.get_mut(r.open_id as usize) {
+                    open.top = 0;
+                }
+            }
+        }
+        let prefetched = self.ahead.len() as u64;
 
         let mut labels = std::mem::take(&mut self.labels);
         let fast = &mut self.fast_served;
         let opens = &mut self.opens;
-        let (order, groups) = (&self.order, &self.groups);
+        let (order, groups, ahead) = (&self.order, &self.groups, &self.ahead);
+        let distinct = &self.distinct;
         alto_fs::page::read_pages_zero_copy(
             self.fs.disk_mut(),
-            &self.distinct,
+            distinct,
+            wanted,
             &mut labels,
             |k, label, view| {
-                let requesters = &order[groups[k]..groups[k + 1]];
+                let (open_id, page) = match k.checked_sub(wanted) {
+                    Some(j) => (ahead[j], distinct[k].page),
+                    None => {
+                        let first = &valid[order[groups[k]]];
+                        (first.open_id, first.page)
+                    }
+                };
                 // Learn the next page's address from the captured label.
-                let first = &valid[requesters[0]];
-                let open = &mut opens[first.open_id as usize];
-                if (first.page as usize) < open.hints.len() {
-                    open.hints[first.page as usize] = label.next;
+                let open = &mut opens[open_id as usize];
+                if let Some(h) = open.hints.get_mut(usize::from(page)) {
+                    *h = label.next;
                 }
-                for &i in requesters {
+                if k >= wanted {
+                    open.window.hold(page, view.data());
+                    return;
+                }
+                for &i in &order[groups[k]..groups[k + 1]] {
                     *fast += 1;
                     deliver(valid[i].tag, view.data());
                 }
             },
         );
+        if hits + prefetched > 0 {
+            self.fs.disk_mut().note_readahead(hits, prefetched);
+        }
         // Stale hints (or real faults): walk the chain from the leader,
-        // once per distinct page.
-        for (k, res) in labels.iter().enumerate() {
+        // once per distinct requested page. A page read ahead that failed
+        // is simply not held.
+        for (k, res) in labels[..wanted].iter().enumerate() {
             if res.is_ok() {
                 continue;
             }
@@ -508,6 +653,76 @@ impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
         }
         self.labels = labels;
         self.valid = valid;
+    }
+}
+
+impl<'a, D: Disk> PageStore for FsPageService<'a, D> {
+    fn open(&mut self, name: &str) -> Result<OpenInfo, u16> {
+        let epoch = self.fs.disk().write_epoch();
+        if let Some(&open_id) = self.by_name.get(name) {
+            // The length measured at the last open stands while the disk
+            // has not been written since. A write (a scavenge between
+            // opens can shrink or grow the file) sends the re-open back to
+            // the last page's label: sizing from a stale length would let
+            // a request name a page the file no longer has.
+            let open = &mut self.opens[open_id as usize];
+            if open.measured != epoch {
+                let length = self.fs.file_length(open.file).map_err(|_| STATUS_IO)?;
+                open.length = length;
+                open.measured = epoch;
+                let pages = open.info(open_id).pages;
+                open.hints.resize(pages as usize, DiskAddress::NIL);
+            }
+            return Ok(open.info(open_id));
+        }
+        let root = self.fs.root_dir();
+        let file = dir::lookup(self.fs, root, name)
+            .map_err(|_| STATUS_IO)?
+            .ok_or(STATUS_NO_SUCH_FILE)?;
+        let (leader_label, _) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
+        let length = self.fs.file_length(file).map_err(|_| STATUS_IO)?;
+        let open_id = self.opens.len() as u32;
+        let mut open = ServedFile {
+            file,
+            hints: Vec::new(),
+            length,
+            measured: epoch,
+            top: 0,
+            window: Window::new(),
+        };
+        let info = open.info(open_id);
+        // Seed the hints with consecutive guesses from page 1's address:
+        // allocation strives for consecutive pages, and the label check
+        // turns any wrong guess into a clean per-page miss.
+        let first = leader_label.next;
+        open.hints = (0..info.pages)
+            .map(|p| {
+                if first == DiskAddress::NIL {
+                    DiskAddress::NIL
+                } else {
+                    DiskAddress(first.0.wrapping_add(p))
+                }
+            })
+            .collect();
+        self.opens.push(open);
+        self.by_name.insert(name.to_string(), open_id);
+        Ok(info)
+    }
+
+    fn serve<F>(&mut self, reqs: &[PageRequest], failed: &mut Vec<(u32, u16)>, deliver: F)
+    where
+        F: FnMut(u32, &[u16; DATA_WORDS]),
+    {
+        self.serve_batch(reqs, true, failed, deliver);
+    }
+
+    /// One request alone, as the naive ablation serves it: one disk
+    /// operation, with the readahead windows neither read nor filled.
+    fn serve_one<F>(&mut self, req: PageRequest, failed: &mut Vec<(u32, u16)>, deliver: F)
+    where
+        F: FnMut(u32, &[u16; DATA_WORDS]),
+    {
+        self.serve_batch(std::slice::from_ref(&req), false, failed, deliver);
     }
 }
 
@@ -600,6 +815,55 @@ badch:  .word 'F'
             .netboot(&mut ether, 1, &mut server, "ghost.run", 1000)
             .unwrap_err();
         assert!(matches!(err, OsError::CommandNotFound(_)));
+    }
+
+    #[test]
+    fn a_write_between_serves_voids_the_window_and_the_length() {
+        // A client reads page 1 of a 20-page file, so the service holds
+        // pages 2..17. Then the file is rewritten through the service's own
+        // borrow, longer and with new bytes. The re-open measures the new
+        // length, and page 2 comes back with its new bytes, not the copy
+        // the window made before the write.
+        let drive =
+            DiskDrive::with_formatted_pack(SimClock::new(), Trace::new(), DiskModel::Diablo31, 1);
+        let mut fs = FileSystem::format(drive).unwrap();
+        let root = fs.root_dir();
+        let file = dir::create_named_file(&mut fs, root, "epoch.dat").unwrap();
+        fs.write_file(file, &[1u8; 20 * PAGE_BYTES]).unwrap();
+        let mut service = FsPageService::new(&mut fs);
+        let info = service.open("epoch.dat").unwrap();
+        assert_eq!((info.pages, info.last_len), (20, PAGE_BYTES as u16));
+        let read = |service: &mut FsPageService<'_, DiskDrive>, page: u16| {
+            let req = PageRequest {
+                open_id: info.open_id,
+                page,
+                tag: 0,
+            };
+            let (mut got, mut failed) = (None, Vec::new());
+            service.serve(&[req], &mut failed, |_, data| got = Some(*data));
+            assert!(failed.is_empty(), "{failed:?}");
+            got.unwrap()
+        };
+        assert_eq!(read(&mut service, 1), [0x0101; DATA_WORDS]);
+        assert!(service.opens[0].window.holds(2));
+
+        service
+            .fs
+            .write_file(file, &[2u8; 21 * PAGE_BYTES + 10])
+            .unwrap();
+        let again = service.open("epoch.dat").unwrap();
+        assert_eq!(
+            (again.open_id, again.pages, again.last_len),
+            (info.open_id, 22, 10)
+        );
+        let sectors =
+            |service: &FsPageService<'_, DiskDrive>| service.fs().disk().io_stats().sectors_read;
+        let before = sectors(&service);
+        assert_eq!(read(&mut service, 2), [0x0202; DATA_WORDS]);
+        assert!(sectors(&service) > before, "page 2 came from the window");
+        let mut last = [0; DATA_WORDS];
+        last[..5].fill(0x0202);
+        assert_eq!(read(&mut service, 22), last);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! must serve byte-for-byte what the lossless run serves, recovered
 //! entirely by client retransmission against the idempotent server.
 
-use alto_disk::{Disk, DiskDrive, DiskModel};
+use alto_disk::{Disk, DiskDrive, DiskModel, FaultKind, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::{dir, FileSystem, PageName};
 use alto_net::server::{
-    encode_name, PageRequest, PageStore, ERR_REPLY, OPEN_REQUEST, PAGE_SERVICE_SOCKET,
+    encode_name, OpenInfo, PageRequest, PageStore, ERR_REPLY, OPEN_REQUEST, PAGE_SERVICE_SOCKET,
     READ_REQUEST, STATUS_BAD_HANDLE, STATUS_BAD_PAGE,
 };
 use alto_net::{ClientConfig, ClientFleet, ClientPhase, Ether, Packet, PageServer};
@@ -35,16 +35,65 @@ struct RunResult {
     p99_samples: usize,
     /// Data sectors the drive read while the fleet ran.
     sectors_read: u64,
+    /// The part of `sectors_read` the store's opens read.
+    open_sectors: u64,
+    /// Disk batches the store's serves ran.
+    disk_batches: u64,
+}
+
+/// An [`FsPageService`] that tells apart what its opens cost the disk.
+struct Metered<'a> {
+    inner: FsPageService<'a, DiskDrive>,
+    open_sectors: u64,
+    open_batches: u64,
+}
+
+impl PageStore for Metered<'_> {
+    fn open(&mut self, name: &str) -> Result<OpenInfo, u16> {
+        let before = self.inner.fs().disk().io_stats();
+        let info = self.inner.open(name);
+        let after = self.inner.fs().disk().io_stats();
+        self.open_sectors += after.sectors_read - before.sectors_read;
+        self.open_batches += after.batches - before.batches;
+        info
+    }
+
+    fn serve<F>(&mut self, reqs: &[PageRequest], failed: &mut Vec<(u32, u16)>, deliver: F)
+    where
+        F: FnMut(u32, &[u16; DATA_WORDS]),
+    {
+        self.inner.serve(reqs, failed, deliver);
+    }
+
+    fn serve_one<F>(&mut self, req: PageRequest, failed: &mut Vec<(u32, u16)>, deliver: F)
+    where
+        F: FnMut(u32, &[u16; DATA_WORDS]),
+    {
+        self.inner.serve_one(req, failed, deliver);
+    }
 }
 
 /// Builds a disk with `files` files of `pages` pages each, then runs
-/// `clients` scripted clients to completion and returns what they saw.
+/// `clients` scripted clients (window 8) to completion and returns what
+/// they saw.
 fn run(
     clients: usize,
     files: usize,
     pages: usize,
     loss: Option<(u64, u64, u64)>,
     batching: bool,
+) -> RunResult {
+    run_windowed(clients, files, pages, loss, batching, 8)
+}
+
+/// [`run`] with each client keeping `window` requests outstanding.
+fn run_windowed(
+    clients: usize,
+    files: usize,
+    pages: usize,
+    loss: Option<(u64, u64, u64)>,
+    batching: bool,
+    window: usize,
 ) -> RunResult {
     let clock = SimClock::new();
     let trace = Trace::new();
@@ -65,13 +114,20 @@ fn run(
     }
     let mut server = PageServer::new(1);
     server.set_batching_enabled(batching);
-    let cfg = ClientConfig::new(1, PAGE_SERVICE_SOCKET);
+    let cfg = ClientConfig {
+        window,
+        ..ClientConfig::new(1, PAGE_SERVICE_SOCKET)
+    };
     let mut fleet =
         ClientFleet::new(&mut ether, cfg, clients, |i| names[i % files].clone()).expect("fleet");
-    let mut service = FsPageService::new(&mut fs);
+    let mut service = Metered {
+        inner: FsPageService::new(&mut fs),
+        open_sectors: 0,
+        open_batches: 0,
+    };
 
     let start = clock.now();
-    let read0 = service.fs().disk().io_stats().sectors_read;
+    let before = service.inner.fs().disk().io_stats();
     let mut spins = 0u64;
     while !fleet.all_done() {
         let a = fleet.tick(&mut ether).expect("fleet tick");
@@ -83,6 +139,7 @@ fn run(
         assert!(spins < 2_000_000, "run did not converge");
     }
     let stats = fleet.stats();
+    let after = service.inner.fs().disk().io_stats();
     RunResult {
         digest: fleet.digest(),
         served_words: stats.served_words,
@@ -93,7 +150,9 @@ fn run(
         batches: server.stats.batches,
         elapsed: clock.now().saturating_sub(start),
         p99_samples: fleet.samples.len(),
-        sectors_read: service.fs().disk().io_stats().sectors_read - read0,
+        sectors_read: after.sectors_read - before.sectors_read,
+        open_sectors: service.open_sectors,
+        disk_batches: after.batches - before.batches - service.open_batches,
     }
 }
 
@@ -143,6 +202,31 @@ fn a_fleet_is_served_completely_and_batched() {
 }
 
 #[test]
+fn a_sequential_reader_is_served_from_the_readahead_window() {
+    // One client at window 1 pages through a 40-page file. Its first
+    // request reads page 1 and the 16 after it in one chain; pages 2..17
+    // then go out from memory, and the misses at pages 18 and 35 read the
+    // rest: 3 disk batches, not one per page.
+    let r = run_windowed(1, 1, 40, None, true, 1);
+    assert_eq!((r.done, r.failed), (1, 0));
+    let bytes = file_bytes(0, 40);
+    let mut expected = 0u64;
+    for page in 1..=40u64 {
+        for (i, &w) in page_words(&bytes, page as u16).iter().enumerate() {
+            expected = expected.wrapping_add((page << 32) ^ ((i as u64) << 16) ^ w as u64);
+        }
+    }
+    assert_eq!(r.digest, expected, "served data diverges from the file");
+    assert_eq!(r.served, 40);
+    assert_eq!(
+        r.sectors_read - r.open_sectors,
+        40,
+        "every page is read exactly once"
+    );
+    assert_eq!(r.disk_batches, 3);
+}
+
+#[test]
 fn naive_ablation_serves_identical_bytes_but_slower() {
     let batched = run(48, 3, 3, None, true);
     let naive = run(48, 3, 3, None, false);
@@ -152,11 +236,12 @@ fn naive_ablation_serves_identical_bytes_but_slower() {
         "ablation changed served bytes"
     );
     assert_eq!(naive.served_words, batched.served_words);
-    // One store batch per request in the ablation, so one read each; the
-    // batched server reads each page its 16 clients share far fewer times
-    // (both also read a label on every open).
+    // One store batch per request in the ablation, so one read each and
+    // nothing read ahead; the batched server reads each page its 16
+    // clients share far fewer times (both also read what their opens
+    // read).
     assert_eq!(naive.batches, naive.served);
-    assert!(naive.sectors_read >= naive.served);
+    assert_eq!(naive.sectors_read, naive.served + naive.open_sectors);
     assert!(
         batched.sectors_read * 2 < naive.sectors_read,
         "batched read {} sectors, naive {}",
@@ -296,22 +381,29 @@ fn duplicate_requests_read_each_distinct_page_once() {
     }
 }
 
+/// `frag.dat` grown from 2 to 4 pages after `wall.dat` took the sectors
+/// behind it, so its pages 3 and 4 are not where the consecutive guesses
+/// put them; and the grown file's bytes.
+fn frag_fs() -> (FileSystem<DiskDrive>, Vec<u8>) {
+    let (mut fs, _) = small_fs("frag.dat", 2);
+    let root = fs.root_dir();
+    let wall = dir::create_named_file(&mut fs, root, "wall.dat").expect("create");
+    fs.write_file(wall, &file_bytes(1, 2)).expect("write");
+    let frag = dir::lookup(&mut fs, root, "frag.dat")
+        .expect("lookup")
+        .expect("exists");
+    let bytes = file_bytes(2, 4);
+    fs.write_file(frag, &bytes).expect("grow");
+    (fs, bytes)
+}
+
 #[test]
 fn a_stale_hint_shared_by_duplicates_costs_one_chain_walk() {
-    // `frag.dat` grows from 2 to 4 pages after `wall.dat` took the sectors
-    // behind it, so its third page is not where the consecutive guess puts
-    // it: the hint is stale, the label check fails, and only a walk from
-    // the leader finds the page.
+    // Page 3 of `frag.dat` is not where the consecutive guess puts it: the
+    // hint is stale, the label check fails, and only a walk from the
+    // leader finds the page.
     let serve = |copies: u32| -> (u64, u64, u64) {
-        let (mut fs, _) = small_fs("frag.dat", 2);
-        let root = fs.root_dir();
-        let wall = dir::create_named_file(&mut fs, root, "wall.dat").expect("create");
-        fs.write_file(wall, &file_bytes(1, 2)).expect("write");
-        let frag = dir::lookup(&mut fs, root, "frag.dat")
-            .expect("lookup")
-            .expect("exists");
-        let bytes = file_bytes(2, 4);
-        fs.write_file(frag, &bytes).expect("grow");
+        let (mut fs, bytes) = frag_fs();
         let mut service = FsPageService::new(&mut fs);
         let info = service.open("frag.dat").expect("open");
         let reqs: Vec<PageRequest> = (0..copies)
@@ -341,6 +433,110 @@ fn a_stale_hint_shared_by_duplicates_costs_one_chain_walk() {
         shared, alone,
         "five requesters cost more than one chain walk"
     );
+
+    // A request for page 2 reads pages 3 and 4 ahead at their stale
+    // guesses. Both fail their checks, so neither is held, and neither
+    // costs a chain walk. Page 2's label teaches page 3's real address,
+    // so the later request for page 3 reads the right bytes there, and
+    // page 3's label does the same for page 4.
+    let (mut fs, bytes) = frag_fs();
+    let mut service = FsPageService::new(&mut fs);
+    let info = service.open("frag.dat").expect("open");
+    let mut read = |page: u16| {
+        let before = service.fs().disk().io_stats().sectors_read;
+        let req = PageRequest {
+            open_id: info.open_id,
+            page,
+            tag: 0,
+        };
+        let mut got = None;
+        let mut failed = Vec::new();
+        service.serve(&[req], &mut failed, |_, data| got = Some(data.to_vec()));
+        assert!(failed.is_empty(), "{failed:?}");
+        assert_eq!(got.as_deref(), Some(&page_words(&bytes, page)[..]));
+        let read = service.fs().disk().io_stats().sectors_read - before;
+        (read, service.fast_served, service.slow_served)
+    };
+    assert_eq!(read(2), (3, 1, 0), "page 2 and the guesses for 3 and 4");
+    assert_eq!(read(3), (2, 2, 0), "page 3 and the guess for 4");
+    assert_eq!(read(4), (1, 3, 0), "page 4, which no guess found");
+}
+
+#[test]
+fn a_transient_on_a_page_read_ahead_is_not_retried() {
+    // A soft read error armed on page 3 fires while page 1's request
+    // reads pages 2..6 ahead. The guess is not retried: page 3 is simply
+    // not held, the chain goes on past it, and a later request for page
+    // 3 reads it from the disk.
+    let (mut fs, _) = small_fs("soft.dat", 6);
+    let bytes = file_bytes(0, 6);
+    let root = fs.root_dir();
+    let file = dir::lookup(&mut fs, root, "soft.dat")
+        .expect("lookup")
+        .expect("exists");
+    let (leader, _) = fs.open_leader(file).expect("leader");
+    let (page1, _) = fs
+        .read_page(PageName::new(file.fv, 1, leader.next))
+        .expect("page 1");
+    let (page2, _) = fs
+        .read_page(PageName::new(file.fv, 2, page1.next))
+        .expect("page 2");
+    fs.disk_mut()
+        .injector_mut()
+        .arm_read(page2.next, FaultKind::SoftRead { attempts: 1 });
+    let mut service = FsPageService::new(&mut fs);
+    let info = service.open("soft.dat").expect("open");
+    let retries = service.fs().disk().io_stats().retries;
+    let mut got: Vec<Option<Vec<u16>>> = vec![None; 7];
+    for page in 1..=6u16 {
+        let before = service.fs().disk().io_stats().sectors_read;
+        let req = PageRequest {
+            open_id: info.open_id,
+            page,
+            tag: u32::from(page),
+        };
+        let mut failed = Vec::new();
+        service.serve(&[req], &mut failed, |tag, data| {
+            got[tag as usize] = Some(data.to_vec());
+        });
+        assert!(failed.is_empty(), "page {page}: {failed:?}");
+        let read = service.fs().disk().io_stats().sectors_read - before;
+        let expected = match page {
+            1 => 6, // page 1 and the five after it
+            3 => 1, // the page the transient left out
+            _ => 0,
+        };
+        assert_eq!(read, expected, "sectors read for page {page}");
+        assert_eq!(
+            service.fs().disk().io_stats().retries,
+            retries,
+            "a guess was retried"
+        );
+    }
+    for page in 1..=6u16 {
+        assert_eq!(
+            got[usize::from(page)].as_deref(),
+            Some(&page_words(&bytes, page)[..]),
+            "page {page}"
+        );
+    }
+    assert_eq!((service.fast_served, service.slow_served), (6, 0));
+}
+
+#[test]
+fn a_re_open_reads_no_sector() {
+    let (mut fs, _) = small_fs("again.dat", 5);
+    let mut service = FsPageService::new(&mut fs);
+    let first = service.open("again.dat").expect("open");
+    let before = service.fs().disk().io_stats();
+    let again = service.open("again.dat").expect("re-open");
+    let after = service.fs().disk().io_stats();
+    assert_eq!(after.ops, before.ops, "the re-open touched the disk");
+    assert_eq!(
+        (again.open_id, again.pages, again.last_len),
+        (first.open_id, first.pages, first.last_len)
+    );
+    assert_eq!((again.pages, again.last_len), (5, PAGE_BYTES as u16 - 100));
 }
 
 /// A formatted Diablo31 with one `pages`-page file named `name`.

@@ -290,9 +290,10 @@ pub struct DriveStats {
     /// Transfers that followed their predecessor with no seek and no
     /// rotational wait (the §4 "consecutive sectors" case).
     pub chained_transfers: u64,
-    /// Pages served from a stream readahead buffer instead of the platter.
+    /// Prefetched pages served from a readahead buffer (a stream's, or the
+    /// page server's window) instead of the platter, each counted once.
     pub readahead_hits: u64,
-    /// Pages prefetched into stream readahead buffers.
+    /// Pages prefetched into readahead buffers.
     pub readahead_prefetched: u64,
     /// Operations whose value part was read (data sectors transferred in).
     pub sectors_read: u64,

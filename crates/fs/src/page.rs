@@ -28,8 +28,9 @@
 //!
 //! All of them retry a transient failure sector-at-a-time under
 //! [`retry_op`]'s bounded discipline, except a guessed follower in
-//! [`transfer`]: a guess is speculation, so its failure only ends the
-//! confirmed run.
+//! [`transfer`] and a speculative entry in [`read_pages_zero_copy`]: a
+//! guess is speculation, so its failure only ends the confirmed run or
+//! leaves the page unread.
 
 use alto_disk::{
     pool, BatchRequest, CheckFailure, Disk, DiskAddress, DiskError, Label, SectorBuf, SectorOp,
@@ -249,7 +250,10 @@ pub fn read_raw_batch<D: Disk>(disk: &mut D, das: &[DiskAddress]) -> Vec<PageRes
 /// caller climbs the hint ladder. `visit(i, label, view)` runs at most
 /// once per entry, only for pages that verified.
 ///
-/// Transient failures are retried sector-at-a-time under the bounded-retry
+/// Entries from `speculative` on are reads nobody asked for yet (the page
+/// server's readahead). The rule for them is [`transfer`]'s rule for a
+/// guessed follower: a transient failure is left in place. Every earlier
+/// entry's transient is retried sector-at-a-time under the bounded-retry
 /// discipline (the drive halted its chain there and rescheduled the rest,
 /// so only the failed member re-issues, through a private staging buffer).
 ///
@@ -261,6 +265,7 @@ pub fn read_raw_batch<D: Disk>(disk: &mut D, das: &[DiskAddress]) -> Vec<PageRes
 pub fn read_pages_zero_copy<D, V>(
     disk: &mut D,
     reads: &[PageName],
+    speculative: usize,
     out: &mut Vec<Result<Label, FsError>>,
     mut visit: V,
 ) where
@@ -282,7 +287,7 @@ pub fn read_pages_zero_copy<D, V>(
     for (i, res) in results.iter().enumerate() {
         match res {
             Ok(()) => {}
-            Err(e @ DiskError::Transient { .. }) => {
+            Err(e @ DiskError::Transient { .. }) if i < speculative => {
                 let r = &reads[i];
                 let mut buf = SectorBuf::zeroed();
                 out[i] = complete_with_retry(disk, r.da, SectorOp::READ_ALL, &mut buf, *e)

@@ -147,9 +147,25 @@ pub trait PageStore {
     /// (reply sends) already spent the clock past it. A reply sent from
     /// `deliver` therefore leaves no earlier than its data exists and queues
     /// behind the previous reply on the one wire.
+    ///
+    /// A store may hold pages in core, read ahead of its sequential
+    /// clients. Held pages are delivered first, from memory, at the current
+    /// instant, before the batch goes to the disk; only the rest ride the
+    /// chain.
     fn serve<F>(&mut self, reqs: &[PageRequest], failed: &mut Vec<(u32, u16)>, deliver: F)
     where
         F: FnMut(u32, &[u16; DATA_WORDS]);
+
+    /// Serves one page read on its own: the naive ablation's unit of work,
+    /// one disk operation per request. The default serves a one-request
+    /// batch; a store that holds pages in core answers it without them, so
+    /// the ablation keeps measuring the disk.
+    fn serve_one<F>(&mut self, req: PageRequest, failed: &mut Vec<(u32, u16)>, deliver: F)
+    where
+        F: FnMut(u32, &[u16; DATA_WORDS]),
+    {
+        self.serve(std::slice::from_ref(&req), failed, deliver);
+    }
 }
 
 /// One client's open-file table. Handles are indexes into `opens`, so a
@@ -230,8 +246,8 @@ impl PageServer {
     }
 
     /// Toggles cross-client batching (on by default). Off, every read is
-    /// handed to the store alone, in arrival order — the naive ablation
-    /// the harness measures against.
+    /// handed to the store alone ([`PageStore::serve_one`]), in arrival
+    /// order — the naive ablation the harness measures against.
     pub fn set_batching_enabled(&mut self, enabled: bool) {
         self.batching = enabled;
     }
@@ -301,7 +317,7 @@ impl PageServer {
                 let pending = &self.pending;
                 let host = self.host;
                 let socket = self.socket;
-                store.serve(&self.reads[i..=i], &mut self.failed, |tag, data| {
+                store.serve_one(self.reads[i], &mut self.failed, |tag, data| {
                     *served += 1;
                     send_page_reply(
                         ether,

@@ -51,10 +51,10 @@
 //! `FileSystem::write_file` follows too, says how far the guesses held.
 //! The path applies where a refill would reach the same run: write-behind
 //! on, and a maybe-consecutive leader whose hinted last page lies straight
-//! ahead. It stops short of that page. Byte calls, partial pages, the
-//! hinted last page and files with a seam keep the read-then-write path,
-//! so a same-length rewrite of a straight file makes one pass over its
-//! sectors instead of two.
+//! ahead. It reaches that page too when the call overwrites it whole. Byte
+//! calls, partial pages and files with a seam keep the read-then-write
+//! path, so a same-length rewrite of a straight file makes one pass over
+//! its sectors instead of two.
 
 use std::ops::Range;
 
@@ -553,8 +553,10 @@ impl<D: Disk> DiskByteStream<D> {
     /// It applies where a refill would guess the same run: write-behind on,
     /// a maybe-consecutive leader whose hinted last page lies straight
     /// ahead, and a serial whose low word gives the check teeth (a 0 word
-    /// is a wildcard). It stops short of the hinted last page, which the
-    /// call reads and rewrites like any page whose label it may change.
+    /// is a wildcard). The run reaches the hinted last page when the call
+    /// overwrites that page whole; its nil link ends the run there, and a
+    /// short captured length makes it a label change like any old tail.
+    /// A call that ends inside the hinted last page reads it first.
     ///
     /// [`confirmed_write_run`] says how far the guesses held, and the
     /// cursor rests at offset 512 of the last page that landed: one whose
@@ -569,7 +571,8 @@ impl<D: Disk> DiskByteStream<D> {
         rest: &[u8],
     ) -> Result<usize, StreamError> {
         let (page, da) = (self.page + 1, self.label.next);
-        let whole = (rest.len() / PAGE_BYTES).min(self.straight_run(page, da).saturating_sub(1));
+        let straight = self.straight_run(page, da);
+        let whole = (rest.len() / PAGE_BYTES).min(straight);
         if whole == 0
             || !self.write_behind_enabled
             || !self.consecutive_hint
@@ -588,7 +591,9 @@ impl<D: Disk> DiskByteStream<D> {
             self.write_behind.push((page + j as u16, guess(j), data));
         }
         let tail = PageName::new(self.file.fv, page + whole as u16, guess(whole));
-        let read_tail = rest.len() > whole * PAGE_BYTES;
+        // No tail is guessed past the hinted last page: there the call
+        // extends the file.
+        let read_tail = rest.len() > whole * PAGE_BYTES && whole < straight;
         self.chain(fs, whole, read_tail.then_some(tail), 1)?;
         let labels = &self.write_results[self.write_results.len() - whole..];
         let run = confirmed_write_run(da, labels);
@@ -1530,10 +1535,11 @@ mod tests {
         fs.write_leader(f, &leader).unwrap();
         let before = fs.disk().stats();
 
-        // Rewrite it as twelve whole pages in one call. Pages 2..11 go out
+        // Rewrite it as twelve whole pages in one call. Pages 2..12 go out
         // blind: 2..9 confirm, page 10's captured length is short, so it
-        // grows to a whole page, and the guess for page 11 fails its check
-        // and writes nothing. The file then extends by two pages.
+        // grows to a whole page, and the guesses for pages 11 and 12 fail
+        // their checks and write nothing. The file then extends by two
+        // pages.
         let new: Vec<u8> = (0..12 * PAGE_BYTES as u32)
             .map(|i| (i % 253) as u8)
             .collect();
@@ -1541,7 +1547,7 @@ mod tests {
         s.write_bytes(&mut fs, &new).unwrap();
         s.close(&mut fs).unwrap();
         let after = fs.disk().stats();
-        // The guessed write of page 11 and the guessed read of page 12.
+        // The guessed writes of pages 11 and 12.
         assert_eq!(after.failed_checks - before.failed_checks, 2);
 
         assert_eq!(fs.read_file(f).unwrap(), new);
@@ -1555,6 +1561,49 @@ mod tests {
             assert_eq!(usize::from(label.length), PAGE_BYTES, "page {k}");
         }
         // Every label and link is as a clean system leaves it.
+        let report = Scavenger::run(&mut fs).unwrap();
+        let repairs = [
+            report.bad_pages,
+            report.duplicate_pages_freed,
+            report.headless_pages_freed,
+            report.truncated_pages_freed,
+            report.links_repaired,
+            report.lengths_normalized,
+            report.entries_fixed,
+            report.entries_dropped,
+            report.orphans_adopted,
+        ];
+        assert_eq!(repairs, [0; 9], "{report:?}");
+        assert_eq!(fs.read_file(f).unwrap(), new);
+    }
+
+    #[test]
+    fn a_whole_rewrite_of_a_page_aligned_file_leaves_close_nothing() {
+        use alto_fs::Scavenger;
+        // Ten whole pages rewritten by one call: pages 2..10 go out blind,
+        // the last page among them, whose nil link ends the run. Nothing is
+        // read first, and nothing is left for `close` to write.
+        let mut fs = fresh_fs();
+        let f = file_named(&mut fs, "whole.dat");
+        fs.write_file(f, &vec![1u8; 10 * PAGE_BYTES]).unwrap();
+        let new: Vec<u8> = (0..10 * PAGE_BYTES as u32)
+            .map(|i| (i % 241) as u8)
+            .collect();
+        let before = fs.disk().stats();
+        let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+        s.write_bytes(&mut fs, &new).unwrap();
+        let written = fs.disk().stats();
+        assert_eq!(
+            written.sectors_read - before.sectors_read,
+            1,
+            "only page 1, read by `open`"
+        );
+        assert_eq!(written.failed_checks, before.failed_checks);
+        s.close(&mut fs).unwrap();
+        let closed = fs.disk().stats();
+        assert_eq!(closed.ops, written.ops, "close went to the disk");
+
+        assert_eq!(fs.read_file(f).unwrap(), new);
         let report = Scavenger::run(&mut fs).unwrap();
         let repairs = [
             report.bad_pages,

@@ -50,8 +50,8 @@ fn e1_band_stream_read_keeps_up_with_read_file() {
 }
 
 /// E1, stream path — a same-length whole-file `write_bytes` plus `close`
-/// overwrites its whole pages without reading them, in one chain with a
-/// read of the last page, so it moves E1's 64K words no slower than
+/// overwrites its whole pages without reading them, the last page
+/// included, in one chain, so it moves E1's 64K words no slower than
 /// `write_file` does.
 #[test]
 fn e1_band_stream_rewrite_keeps_up_with_write_file() {
