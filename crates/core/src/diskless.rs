@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use alto_disk::{Disk, DiskAddress, Label, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
+use alto_fs::page::follow;
 use alto_fs::{dir, FileFullName, FileSystem, FsError, PageName};
 use alto_machine::{CodeFile, Machine, MachineError, Step};
 use alto_net::server::{
@@ -294,6 +295,33 @@ struct ServedFile {
 }
 
 impl ServedFile {
+    /// Learns from page `page`'s verified label (the leader's, for page 0)
+    /// that page `page + 1` sits at `next`. A link that corrects a guess
+    /// takes along the hints that continued the stale one consecutively
+    /// (`hints[page + j]` equal to the old hint plus `j`), so the next
+    /// chain's guesses land past the seam. The run ends at the first hint
+    /// that departs from it, as one a label taught usually does; one that
+    /// only coincides with the run moves too, and its check miss sends
+    /// the page to a chain walk, which relearns it. The last page the
+    /// hints cover teaches nothing, and neither does a page past them (a
+    /// file changed since it was measured).
+    fn learn(&mut self, page: u16, next: DiskAddress) {
+        let hints = self.hints.get_mut(usize::from(page)..);
+        let Some((hint, after)) = hints.and_then(|h| h.split_first_mut()) else {
+            return;
+        };
+        let old = std::mem::replace(hint, next);
+        if old == next || next.is_nil() {
+            return;
+        }
+        for (j, h) in (1..).zip(after) {
+            if *h != DiskAddress(old.0.wrapping_add(j)) {
+                break;
+            }
+            *h = DiskAddress(next.0.wrapping_add(j));
+        }
+    }
+
     /// What an open of this file answers.
     fn info(&self, open_id: u32) -> OpenInfo {
         let pages = self.length.div_ceil(PAGE_BYTES as u64).max(1) as u16;
@@ -468,30 +496,19 @@ impl<'a, D: Disk> FsPageService<'a, D> {
         }
         let file = open.file;
         let (leader_label, _) = self.fs.open_leader(file).map_err(|_| STATUS_IO)?;
-        let mut da = leader_label.next;
-        let mut data = None;
-        for p in 1..=page {
-            if da == DiskAddress::NIL {
-                return Err(STATUS_IO);
-            }
-            let (label, d) = self
-                .fs
-                .read_page(PageName::new(file.fv, p, da))
-                .map_err(|_| STATUS_IO)?;
-            // On a freshly scavenged pack the file may have fewer pages
-            // than the open handle remembers; never index past the hint
-            // vector a hostile history left short.
-            let open = &mut self.opens[open_id as usize];
-            if let Some(h) = open.hints.get_mut(p as usize - 1) {
-                *h = da;
-            }
-            if let Some(h) = open.hints.get_mut(p as usize) {
-                *h = label.next;
-            }
-            da = label.next;
-            data = Some(d);
+        let open = &mut self.opens[open_id as usize];
+        open.learn(0, leader_label.next);
+        let page1 = PageName::new(file.fv, 1, leader_label.next);
+        let (pn, _, data) = follow(self.fs.disk_mut(), page1, |pn, label, _| {
+            open.learn(pn.page, label.next);
+            pn.page == page
+        })
+        .map_err(|_| STATUS_IO)?;
+        if pn.page == page {
+            Ok(data)
+        } else {
+            Err(STATUS_IO)
         }
-        data.ok_or(STATUS_IO)
     }
 
     /// Serves a batch of page reads; `read_ahead` says whether the batch
@@ -612,9 +629,7 @@ impl<'a, D: Disk> FsPageService<'a, D> {
                 };
                 // Learn the next page's address from the captured label.
                 let open = &mut opens[open_id as usize];
-                if let Some(h) = open.hints.get_mut(usize::from(page)) {
-                    *h = label.next;
-                }
+                open.learn(page, label.next);
                 if k >= wanted {
                     open.window.hold(page, view.data());
                     return;

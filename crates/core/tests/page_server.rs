@@ -11,7 +11,7 @@ use alto_fs::file::PAGE_BYTES;
 use alto_fs::{dir, FileSystem, PageName};
 use alto_net::server::{
     encode_name, OpenInfo, PageRequest, PageStore, ERR_REPLY, OPEN_REQUEST, PAGE_SERVICE_SOCKET,
-    READ_REQUEST, STATUS_BAD_HANDLE, STATUS_BAD_PAGE,
+    READ_REQUEST, STATUS_BAD_HANDLE, STATUS_BAD_PAGE, STATUS_IO,
 };
 use alto_net::{ClientConfig, ClientFleet, ClientPhase, Ether, Packet, PageServer};
 use alto_os::FsPageService;
@@ -437,8 +437,9 @@ fn a_stale_hint_shared_by_duplicates_costs_one_chain_walk() {
     // A request for page 2 reads pages 3 and 4 ahead at their stale
     // guesses. Both fail their checks, so neither is held, and neither
     // costs a chain walk. Page 2's label teaches page 3's real address,
-    // so the later request for page 3 reads the right bytes there, and
-    // page 3's label does the same for page 4.
+    // and page 4's guess, which continued page 3's, moves with it: the
+    // later request for page 3 reads the right bytes there, and its chain
+    // reads page 4 ahead at the right address and holds it.
     let (mut fs, bytes) = frag_fs();
     let mut service = FsPageService::new(&mut fs);
     let info = service.open("frag.dat").expect("open");
@@ -459,7 +460,7 @@ fn a_stale_hint_shared_by_duplicates_costs_one_chain_walk() {
     };
     assert_eq!(read(2), (3, 1, 0), "page 2 and the guesses for 3 and 4");
     assert_eq!(read(3), (2, 2, 0), "page 3 and the guess for 4");
-    assert_eq!(read(4), (1, 3, 0), "page 4, which no guess found");
+    assert_eq!(read(4), (0, 3, 0), "page 4, held by page 3's chain");
 }
 
 #[test]
@@ -550,6 +551,23 @@ fn small_fs(name: &str, pages: usize) -> (FileSystem<DiskDrive>, SimClock) {
     let file = dir::create_named_file(&mut fs, root, name).expect("create");
     fs.write_file(file, &file_bytes(0, pages)).expect("write");
     (fs, clock)
+}
+
+#[test]
+fn an_open_refuses_a_last_page_longer_than_a_page() {
+    // A smashed length word passes the §3.3 check, which matches only the
+    // absolutes. The open measures the file and answers an I/O status,
+    // rather than advertising a page the file does not have.
+    let (mut fs, _clock) = small_fs("smashed.dat", 3);
+    let root = fs.root_dir();
+    let file = dir::lookup(&mut fs, root, "smashed.dat")
+        .expect("lookup")
+        .expect("exists");
+    let last_da = fs.read_leader(file).expect("leader").last_da;
+    let pack = fs.disk_mut().pack_mut().expect("pack");
+    pack.sector_mut(last_da).expect("sector").label[4] = 600;
+    let mut service = FsPageService::new(&mut fs);
+    assert_eq!(service.open("smashed.dat").map(|_| ()), Err(STATUS_IO));
 }
 
 #[test]

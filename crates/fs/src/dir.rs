@@ -34,6 +34,7 @@ use crate::file::{
 };
 use crate::leader::MAX_LEADER_NAME;
 use crate::names::{FileFullName, Fv, PageName, SerialNumber};
+use crate::page;
 
 /// One directory entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,34 +182,26 @@ fn scan_for_name<D: Disk>(
         return Ok(None);
     }
     let mut bytes = Vec::new();
-    let mut pn = PageName::new(dir.fv, 1, leader_label.next);
-    // A hostile directory chain cannot be longer than the disk has
-    // sectors; walking past that is a cycle, not a long directory.
-    let mut budget = fs.disk().geometry()?.sector_count() + 2;
-    loop {
-        let (label, data) = fs.read_page(pn)?;
-        bytes.extend_from_slice(&unpack_bytes(&data)[..data_length(&label)?]);
+    let mut found = None;
+    let page1 = PageName::new(dir.fv, 1, leader_label.next);
+    // The walk stops at the match, or at a page whose length is bad, which
+    // is the error.
+    let (_, last, _) = page::follow(fs.disk_mut(), page1, |_, label, data| {
+        let Ok(len) = data_length(label) else {
+            return true;
+        };
+        bytes.extend_from_slice(&unpack_bytes(data)[..len]);
         // Parse what has arrived so far; an entry cut off at the page
         // boundary looks malformed, stops the parse, and is retried whole
         // when the next page's bytes land.
-        if let Some(e) = parse_entries(&bytes)
+        found = parse_entries(&bytes)
             .into_iter()
             .find(|e| names_equal(&e.name, name))
-        {
-            return Ok(Some(e.file));
-        }
-        if label.next.is_nil() {
-            return Ok(None);
-        }
-        if budget == 0 {
-            return Err(FsError::Corrupt {
-                da: pn.da,
-                what: "link cycle",
-            });
-        }
-        budget -= 1;
-        pn = PageName::new(dir.fv, pn.page + 1, label.next);
-    }
+            .map(|e| e.file);
+        found.is_some()
+    })?;
+    data_length(&last)?;
+    Ok(found)
 }
 
 /// Inserts (or replaces) the entry `name -> file` in `dir`.

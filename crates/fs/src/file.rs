@@ -341,9 +341,8 @@ impl<D: Disk> FileSystem<D> {
         let payload = words_to_bytes(&self.desc.encode());
         // The descriptor's size is fixed, so this rewrites data pages in
         // place with ordinary writes (no allocation, no label rewrites).
-        let (leader_label, leader) = self.open_leader(desc_name)?;
-        self.overwrite_in_place(desc_name, &payload, leader_label, &leader)?;
-        Ok(())
+        let (leader_label, mut leader) = self.open_leader(desc_name)?;
+        self.overwrite_in_place(desc_name, &payload, leader_label, &mut leader)
     }
 
     // ------------------------------------------------------------------
@@ -464,122 +463,37 @@ impl<D: Disk> FileSystem<D> {
             return Err(FsError::SerialsExhausted);
         }
         let fv = Fv::new(SerialNumber::new(number, directory), 1);
-        let leader = LeaderPage::new(leader_name, self.now())?;
-        let leader_label = Label {
-            fid: fv.serial.words(),
-            version: fv.version,
-            page_number: 0,
-            length: PAGE_BYTES as u16,
-            next: DiskAddress::NIL,
-            prev: DiskAddress::NIL,
-        };
-        let leader_da = self.allocate_page(
-            self.arm_spread_origin(number),
-            leader_label,
-            &leader.encode(),
-        )?;
-        self.chain_data_pages(fv, leader_da, leader, &[])?;
-        Ok(FileFullName::new(fv, leader_da))
+        let mut leader = LeaderPage::new(leader_name, self.now())?;
+        let label = fresh_leader_label(fv);
+        let leader_da =
+            self.allocate_page(self.arm_spread_origin(number), label, &leader.encode())?;
+        let file = FileFullName::new(fv, leader_da);
+        self.overwrite_in_place(file, &[], label, &mut leader)?;
+        self.write_page(file.leader_page(), &leader.encode())?;
+        Ok(file)
     }
 
-    /// Lays down a file whose leader must land at a *fixed* address (the
-    /// well-known files created at format time). The caller has already
-    /// marked `leader_da` busy in the map.
-    fn build_file_at(
-        &mut self,
-        fv: Fv,
-        leader_da: DiskAddress,
-        leader: LeaderPage,
-        bytes: &[u8],
-    ) -> Result<(), FsError> {
-        let leader_label = Label {
-            fid: fv.serial.words(),
-            version: fv.version,
-            page_number: 0,
-            length: PAGE_BYTES as u16,
-            next: DiskAddress::NIL,
-            prev: DiskAddress::NIL,
-        };
-        page::allocate_at(&mut self.disk, leader_da, leader_label, &leader.encode())?;
-        self.stats.pages_allocated += 1;
-        self.chain_data_pages(fv, leader_da, leader, bytes)
-    }
-
-    /// The Scavenger's entry point to [`FileSystem::chain_data_pages`] when
-    /// rebuilding the descriptor file at its standard address.
-    pub(crate) fn chain_data_pages_for_scavenger(
-        &mut self,
-        fv: Fv,
-        leader_da: DiskAddress,
-        leader: LeaderPage,
-        bytes: &[u8],
-    ) -> Result<(), FsError> {
-        self.stats.pages_allocated += 1; // the leader the caller laid down
-        self.chain_data_pages(fv, leader_da, leader, bytes)
-    }
-
-    /// Allocates and chains the data pages of a fresh file whose leader is
-    /// already on disk with nil links, fixing each predecessor's next link
-    /// and finally recording the last-page hints in the leader data.
-    fn chain_data_pages(
+    /// Lays down a file whose leader must land at a *fixed* address: the
+    /// well-known files format creates, and the descriptor the Scavenger
+    /// rebuilds. The caller has already marked `leader_da` busy in the map.
+    ///
+    /// A fresh file's data pages are laid down by
+    /// [`Self::overwrite_in_place`]'s extension branch, as a growing
+    /// rewrite's are; the leader's hints then go to the disk with an
+    /// ordinary write.
+    pub(crate) fn build_file_at(
         &mut self,
         fv: Fv,
         leader_da: DiskAddress,
         mut leader: LeaderPage,
         bytes: &[u8],
     ) -> Result<(), FsError> {
-        let pages = bytes.len().div_ceil(PAGE_BYTES).max(1) as u16;
-        let mut prev_da = leader_da;
-        let mut last_da = leader_da;
-        // The predecessor's label and data are tracked in memory, so fixing
-        // its next link is one label rewrite (one revolution) with no extra
-        // read pass.
-        let mut prev_label = Label {
-            fid: fv.serial.words(),
-            version: fv.version,
-            page_number: 0,
-            length: PAGE_BYTES as u16,
-            next: DiskAddress::NIL,
-            prev: DiskAddress::NIL,
-        };
-        let mut prev_data = leader.encode();
-        // Placement: open the whole chain in one consecutive free run when
-        // the map offers one near the leader.
-        let first_near = self
-            .placement_run(DiskAddress(leader_da.0.wrapping_add(1)), pages as u32)
-            .unwrap_or(DiskAddress(leader_da.0.wrapping_add(1)));
-        for n in 1..=pages {
-            let start = (n as usize - 1) * PAGE_BYTES;
-            let chunk = &bytes[start.min(bytes.len())..bytes.len().min(start + PAGE_BYTES)];
-            let mut data = [0u16; DATA_WORDS];
-            pack_bytes(chunk, &mut data);
-            let label = Label {
-                fid: fv.serial.words(),
-                version: fv.version,
-                page_number: n,
-                length: chunk.len() as u16,
-                next: DiskAddress::NIL,
-                prev: prev_da,
-            };
-            let near = if n == 1 {
-                first_near
-            } else {
-                DiskAddress(prev_da.0.wrapping_add(1))
-            };
-            let da = self.allocate_page(Some(near), label, &data)?;
-            // Fix the predecessor's next link (one revolution, §3.3).
-            let prev_pn = PageName::new(fv, n - 1, prev_da);
-            prev_label.next = da;
-            page::rewrite_label(&mut self.disk, prev_pn, prev_label, &prev_data)?;
-            prev_da = da;
-            last_da = da;
-            prev_label = label;
-            prev_data = data;
-        }
-        leader.last_page = pages;
-        leader.last_da = last_da;
-        leader.maybe_consecutive = last_da.0 == leader_da.0.wrapping_add(pages);
-        self.write_page(PageName::new(fv, 0, leader_da), &leader.encode())?;
+        let label = fresh_leader_label(fv);
+        page::allocate_at(&mut self.disk, leader_da, label, &leader.encode())?;
+        self.stats.pages_allocated += 1;
+        let file = FileFullName::new(fv, leader_da);
+        self.overwrite_in_place(file, bytes, label, &mut leader)?;
+        self.write_page(file.leader_page(), &leader.encode())?;
         Ok(())
     }
 
@@ -656,7 +570,7 @@ impl<D: Disk> FileSystem<D> {
     /// (the leader hint is used and validated).
     pub fn file_length(&mut self, file: FileFullName) -> Result<u64, FsError> {
         let (last_pn, last_label) = self.locate_last_page(file)?;
-        Ok((last_pn.page as u64 - 1) * PAGE_BYTES as u64 + last_label.length as u64)
+        Ok((u64::from(last_pn.page) - 1) * PAGE_BYTES as u64 + data_length(&last_label)? as u64)
     }
 
     /// Reads the entire contents of `file`.
@@ -672,15 +586,8 @@ impl<D: Disk> FileSystem<D> {
         // the pages, then write the updated leader back and reinstall it by
         // value: the whole cycle is heap-free on a warm cache.
         let (leader_label, mut leader) = self.take_leader(file)?;
-        let (consecutive, last_da) = self.overwrite_in_place(file, bytes, leader_label, &leader)?;
+        self.overwrite_in_place(file, bytes, leader_label, &mut leader)?;
         leader.written = self.now();
-        // The rewrite walked every page, so the tail hints come for free —
-        // no separate link chase to locate the last page.
-        leader.last_page = bytes.len().div_ceil(PAGE_BYTES).max(1) as u16;
-        leader.last_da = last_da;
-        // The rewrite just walked every link: record whether guessed
-        // consecutive batches will pay off on this file from now on.
-        leader.maybe_consecutive = consecutive;
         self.write_leader_install(file, leader)
     }
 
@@ -729,23 +636,10 @@ impl<D: Disk> FileSystem<D> {
     pub fn delete_file(&mut self, file: FileFullName) -> Result<(), FsError> {
         // Collect the chain first (labels are the source of truth).
         let mut chain = vec![];
-        let mut pn = file.leader_page();
-        let mut budget = self.chain_budget()?;
-        loop {
-            let (label, _) = self.read_page(pn)?;
+        page::follow(&mut self.disk, file.leader_page(), |pn, _, _| {
             chain.push(pn);
-            if label.next.is_nil() {
-                break;
-            }
-            if budget == 0 {
-                return Err(FsError::Corrupt {
-                    da: pn.da,
-                    what: "link cycle",
-                });
-            }
-            budget -= 1;
-            pn = PageName::new(file.fv, pn.page + 1, label.next);
-        }
+            false
+        })?;
         for pn in chain {
             self.free_page(pn)?;
         }
@@ -767,31 +661,9 @@ impl<D: Disk> FileSystem<D> {
             }
         }
         // Chase links from the leader.
-        let mut pn = PageName::new(file.fv, 1, leader_label.next);
-        let mut budget = self.chain_budget()?;
-        loop {
-            let (label, _) = self.read_page(pn)?;
-            if label.next.is_nil() {
-                return Ok((pn, label));
-            }
-            if budget == 0 {
-                return Err(FsError::Corrupt {
-                    da: pn.da,
-                    what: "link cycle",
-                });
-            }
-            budget -= 1;
-            pn = PageName::new(file.fv, pn.page + 1, label.next);
-        }
-    }
-
-    /// Step budget for a link chase: a well-formed chain can never be
-    /// longer than the disk has sectors, so any walk that exceeds this is
-    /// structurally cyclic and must surface as corruption instead of
-    /// spinning (the §3.3 page-number check already terminates honest
-    /// chains; this is the belt to that suspender).
-    fn chain_budget(&self) -> Result<u32, FsError> {
-        Ok(self.disk.geometry()?.sector_count() + 2)
+        let page1 = PageName::new(file.fv, 1, leader_label.next);
+        let (pn, label, _) = page::follow(&mut self.disk, page1, |_, _, _| false)?;
+        Ok((pn, label))
     }
 
     /// Rewrites file contents page by page. Ordinary writes where the label
@@ -806,21 +678,27 @@ impl<D: Disk> FileSystem<D> {
     /// error. The last page, length changes, extension and truncation take
     /// the per-page path.
     ///
-    /// Takes the leader (label and decoded page) the caller already holds;
-    /// the leader page itself is never touched here.
+    /// The extension branch is the one loop that lays a chain down: it
+    /// also builds every fresh file, whose leader is on disk with nil links.
     ///
-    /// Returns `(consecutive, last_da)`: whether the data pages it walked
-    /// were (nearly) consecutive on the disk — the caller records this in
-    /// the leader so future reads and rewrites know guessed batches are
-    /// worth issuing — and the disk address of the file's last page, so the
-    /// caller can update the leader's tail hints without a link chase.
+    /// Takes the leader (label and decoded page) the caller already holds.
+    /// The leader's label is rewritten only when page 1 is laid down, to
+    /// link it; the caller's copy serves as the predecessor, so that costs
+    /// no extra read.
+    ///
+    /// Records in the caller's copy of the leader the file's last page and
+    /// its address — the rewrite walked every page, so no separate link
+    /// chase is needed — and whether the data pages it walked were (nearly)
+    /// consecutive on the disk, so future reads and rewrites know guessed
+    /// batches are worth issuing. Writing the leader back is the caller's
+    /// business.
     fn overwrite_in_place(
         &mut self,
         file: FileFullName,
         bytes: &[u8],
         leader_label: Label,
-        leader: &LeaderPage,
-    ) -> Result<(bool, DiskAddress), FsError> {
+        leader: &mut LeaderPage,
+    ) -> Result<(), FsError> {
         let new_pages = bytes.len().div_ceil(PAGE_BYTES).max(1) as u16;
         let mut n: u16 = 1;
         let mut prev_da = file.leader_da;
@@ -938,10 +816,12 @@ impl<D: Disk> FileSystem<D> {
                 }
                 // Fix the previous page's next link (a length change in the
                 // §3.3 sense: one revolution). The predecessor's contents
-                // are still in memory from the previous iteration.
+                // are still in memory: from the previous iteration, or for
+                // page 1 the caller's copy of the leader.
                 let prev_pn = PageName::new(file.fv, n - 1, prev_da);
                 let (mut prev_label, prev_data) = match prev_state.take() {
                     Some(state) => state,
+                    None if n == 1 => (leader_label, leader.encode()),
                     None => self.read_page(prev_pn)?,
                 };
                 prev_label.next = new_da;
@@ -985,26 +865,29 @@ impl<D: Disk> FileSystem<D> {
             }
             n += 1;
         }
-        Ok((jumps <= 1 + new_pages as u32 / 16, prev_da))
+        leader.last_page = new_pages;
+        leader.last_da = prev_da;
+        leader.maybe_consecutive = jumps <= 1 + new_pages as u32 / 16;
+        Ok(())
     }
 
     /// Frees the chain of pages starting at `(fv, first_page)` @ `da`.
+    ///
+    /// It needs no cycle budget: each page is freed before its link is
+    /// followed, so a link back into the chain meets a free label and fails
+    /// its check.
     fn free_chain(&mut self, fv: Fv, first_page: u16, da: DiskAddress) -> Result<(), FsError> {
         let mut pn = PageName::new(fv, first_page, da);
-        let mut budget = self.chain_budget()?;
         loop {
             let old = self.free_page(pn)?;
             if old.next.is_nil() {
                 return Ok(());
             }
-            if budget == 0 {
-                return Err(FsError::Corrupt {
-                    da: pn.da,
-                    what: "link cycle",
-                });
-            }
-            budget -= 1;
-            pn = PageName::new(fv, pn.page + 1, old.next);
+            let page = pn.page.checked_add(1).ok_or(FsError::Corrupt {
+                da: pn.da,
+                what: "link past the last page number",
+            })?;
+            pn = PageName::new(fv, page, old.next);
         }
     }
 }
@@ -1093,21 +976,28 @@ pub(crate) fn read_file_with<D: Disk>(
         }
     }
 
-    let mut budget = disk.geometry()?.sector_count() + 2;
-    loop {
-        let (label, data) = page::read_page(disk, pn)?;
-        bytes.extend_from_slice(&unpack_bytes(&data)[..data_length(&label)?]);
-        if label.next.is_nil() {
-            return Ok(bytes);
+    // The walk stops at a page whose length is bad, which is the error.
+    let (_, last, _) = page::follow(disk, pn, |_, label, data| match data_length(label) {
+        Ok(len) => {
+            bytes.extend_from_slice(&unpack_bytes(data)[..len]);
+            false
         }
-        if budget == 0 {
-            return Err(FsError::Corrupt {
-                da: pn.da,
-                what: "link cycle",
-            });
-        }
-        budget -= 1;
-        pn = PageName::new(file.fv, pn.page + 1, label.next);
+        Err(_) => true,
+    })?;
+    data_length(&last)?;
+    Ok(bytes)
+}
+
+/// The label a fresh file's leader is laid down with: page 0, a full
+/// page's length, nil links.
+fn fresh_leader_label(fv: Fv) -> Label {
+    Label {
+        fid: fv.serial.words(),
+        version: fv.version,
+        page_number: 0,
+        length: PAGE_BYTES as u16,
+        next: DiskAddress::NIL,
+        prev: DiskAddress::NIL,
     }
 }
 
@@ -1199,6 +1089,21 @@ mod tests {
     }
 
     #[test]
+    fn format_lays_the_descriptor_down_consecutive() {
+        // The descriptor's data pages sit at consecutive addresses, though
+        // not next to its leader at DA 1, so its leader earns the hint that
+        // lets every flush chain them.
+        let mut fs = fresh_fs();
+        let desc = FileFullName::new(
+            descriptor::descriptor_fv(),
+            descriptor::DESCRIPTOR_LEADER_DA,
+        );
+        let leader = fs.read_leader(desc).unwrap();
+        assert!(leader.last_page > 1);
+        assert!(leader.maybe_consecutive);
+    }
+
+    #[test]
     fn mount_round_trip() {
         let fs = fresh_fs();
         let free_before = fs.descriptor().bitmap.free_count();
@@ -1283,6 +1188,20 @@ mod tests {
         assert_eq!(last_pn, 10);
         let (l, _) = fs.read_page(PageName::new(f.fv, 10, last_label)).unwrap();
         assert_eq!(l.length as usize, 5000 - 9 * PAGE_BYTES);
+    }
+
+    #[test]
+    fn a_last_page_longer_than_a_page_is_a_bad_length() {
+        // The §3.3 check matches only the absolutes, so a smashed length
+        // word passes it: measuring the file refuses it as reading does.
+        let mut fs = fresh_fs();
+        let f = fs.create_file("smashed").unwrap();
+        fs.write_file(f, &[5u8; 3 * PAGE_BYTES - 100]).unwrap();
+        let last_da = fs.read_leader(f).unwrap().last_da;
+        let pack = fs.disk_mut().pack_mut().unwrap();
+        pack.sector_mut(last_da).unwrap().label[4] = 600;
+        assert_eq!(fs.read_file(f), Err(FsError::BadLength(600)));
+        assert_eq!(fs.file_length(f), Err(FsError::BadLength(600)));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::dir;
 use crate::errors::FsError;
 use crate::file::FileSystem;
 use crate::names::{FileFullName, Fv, PageName};
+use crate::page;
 use crate::scavenge::Scavenger;
 
 /// Which rung of the ladder finally produced the page.
@@ -129,19 +130,14 @@ impl PageHints {
             // The lookup's verification read primed the leader cache, so
             // this costs no disk revolution on the warm path.
             let (leader_label, _) = fs.open_leader(file)?;
-            let mut label = leader_label;
-            let mut page = 0u16;
-            loop {
-                if label.next.is_nil() {
-                    break;
-                }
-                page += 1;
-                let pn = PageName::new(file.fv, page, label.next);
-                if page.is_multiple_of(k) {
-                    every_kth.push((page, label.next));
-                }
-                let (l, _) = fs.read_page(pn)?;
-                label = l;
+            if !leader_label.next.is_nil() {
+                let page1 = PageName::new(file.fv, 1, leader_label.next);
+                page::follow(fs.disk_mut(), page1, |pn, _, _| {
+                    if pn.page.is_multiple_of(k) {
+                        every_kth.push((pn.page, pn.da));
+                    }
+                    false
+                })?;
             }
         }
         Ok(PageHints {
@@ -270,7 +266,7 @@ fn resolve_inner<D: Disk>(
     }
 
     // Rung 1: follow links from a known-good portion of the file.
-    if let Ok(Some((data, pn, hops))) = chase_links(fs, hints, page) {
+    if let Some((data, pn, hops)) = chase_links(fs, hints, page) {
         return Ok((data, pn, HintOutcome::LinkChase { hops }));
     }
 
@@ -279,7 +275,7 @@ fn resolve_inner<D: Disk>(
     if let Ok(Some(found)) = dir::lookup_fv(fs, hints.directory, hints.file.fv) {
         hints.file = found;
         hints.every_kth = vec![(0, found.leader_da)];
-        if let Ok(Some((data, pn, _))) = chase_links(fs, hints, page) {
+        if let Some((data, pn, _)) = chase_links(fs, hints, page) {
             return Ok((data, pn, HintOutcome::DirectoryLookup));
         }
     }
@@ -289,7 +285,7 @@ fn resolve_inner<D: Disk>(
         if found.fv != hints.file.fv || found.leader_da != hints.file.leader_da {
             hints.file = found;
             hints.every_kth = vec![(0, found.leader_da)];
-            if let Ok(Some((data, pn, _))) = chase_links(fs, hints, page) {
+            if let Some((data, pn, _)) = chase_links(fs, hints, page) {
                 return Ok((data, pn, HintOutcome::StringLookup));
             }
         }
@@ -307,7 +303,7 @@ fn resolve_inner<D: Disk>(
     if let Some(found) = dir::lookup(fs, dir_to_search, &hints.name.clone())? {
         hints.file = found;
         hints.every_kth = vec![(0, found.leader_da)];
-        if let Some((data, pn, _)) = chase_links(fs, hints, page)? {
+        if let Some((data, pn, _)) = chase_links(fs, hints, page) {
             return Ok((data, pn, HintOutcome::Scavenged));
         }
     }
@@ -318,30 +314,18 @@ fn resolve_inner<D: Disk>(
     )))
 }
 
-/// Follows links from the best hinted starting page to `page`.
+/// Follows links from the best hinted starting page to `page`; `None` if
+/// a page on the way fails its check or the file ends first.
 fn chase_links<D: Disk>(
     fs: &mut FileSystem<D>,
     hints: &PageHints,
     page: u16,
-) -> Result<Option<([u16; DATA_WORDS], PageName, u32)>, FsError> {
-    let (mut at, mut da) = hints.best_start(page);
-    let mut hops = 0u32;
-    loop {
-        let pn = PageName::new(hints.file.fv, at, da);
-        match fs.read_page(pn) {
-            Ok((label, data)) => {
-                if at == page {
-                    return Ok(Some((data, pn, hops)));
-                }
-                if label.next.is_nil() {
-                    return Ok(None); // past the end
-                }
-                at += 1;
-                da = label.next;
-                hops += 1;
-            }
-            Err(_) => return Ok(None),
-        }
+) -> Option<([u16; DATA_WORDS], PageName, u32)> {
+    let (at, da) = hints.best_start(page);
+    let start = PageName::new(hints.file.fv, at, da);
+    match page::follow(fs.disk_mut(), start, |pn, _, _| pn.page == page) {
+        Ok((pn, _, data)) if pn.page == page => Some((data, pn, u32::from(page - at))),
+        _ => None,
     }
 }
 

@@ -13,6 +13,14 @@
 //! hardware would have produced. This closes the check, at zero simulated
 //! cost, without weakening the §3.3 discipline.
 //!
+//! A file's chain is followed page at a time in one place: [`follow`]
+//! reads along the links from a known page until its caller's predicate
+//! or a nil link stops it, under the one cycle budget. Every link chase —
+//! deleting a file, locating its last page, the tail of a whole-file read,
+//! a directory scan, the hint ladder's first rung, a stream's seek and its
+//! search for the last page on close, and the page server's recovery walk
+//! — goes through it.
+//!
 //! Chained batches come in three request forms, one function each:
 //!
 //! * [`transfer`] moves a file's pages: writes at given addresses plus
@@ -177,6 +185,41 @@ pub fn read_page<D: Disk>(
     retry_op(disk, pn.da, SectorOp::READ, &mut buf)?;
     let label = verified_label(pn.da, pn.fv, pn.page, &buf)?;
     Ok((label, buf.data))
+}
+
+/// Follows a file's links one label-checked page at a time, reading
+/// `from` first: the §3.6 ladder's first rung, "follow links from another
+/// known-good portion of the file", and every page-at-a-time chase in the
+/// system. `stop` sees each page read; the walk ends on the page where it
+/// says so or where the link is nil, and returns that page.
+///
+/// A page that fails its check ends the walk with the check's error: a
+/// stale link never yields another file's page. A well-formed chain is no
+/// longer than the disk has sectors, so a walk that exceeds that many
+/// links is a cycle, reported as [`FsError::Corrupt`] instead of spinning;
+/// so is a link out of page `u16::MAX`, which no page can follow.
+pub fn follow<D, S>(
+    disk: &mut D,
+    from: PageName,
+    mut stop: S,
+) -> Result<(PageName, Label, [u16; DATA_WORDS]), FsError>
+where
+    D: Disk,
+    S: FnMut(PageName, &Label, &[u16; DATA_WORDS]) -> bool,
+{
+    let mut budget = disk.geometry()?.sector_count() + 2;
+    let mut pn = from;
+    loop {
+        let (label, data) = read_page(disk, pn)?;
+        if stop(pn, &label, &data) || label.next.is_nil() {
+            return Ok((pn, label, data));
+        }
+        let corrupt = |what| FsError::Corrupt { da: pn.da, what };
+        budget = budget.checked_sub(1).ok_or(corrupt("link cycle"))?;
+        let page = pn.page.checked_add(1);
+        let page = page.ok_or(corrupt("link past the last page number"))?;
+        pn = PageName::new(pn.fv, page, label.next);
+    }
 }
 
 /// Writes the data of the page named `pn` (an ordinary data write: the
@@ -1082,6 +1125,71 @@ mod tests {
         // A first write that fails leaves no run at all.
         let (wrote, _) = transferred(&mut d, &writes[4..], None, 0);
         assert_eq!(confirmed_write_run(DiskAddress(44), &wrote), 0);
+    }
+
+    #[test]
+    fn follow_stops_where_the_predicate_says() {
+        let mut d = drive();
+        consecutive_pages(&mut d, 4);
+        let start = PageName::new(fv(), 1, DiskAddress(40));
+        let mut seen = Vec::new();
+        let (pn, label, data) = follow(&mut d, start, |pn, _, data| {
+            seen.push((pn.page, pn.da, data[0]));
+            pn.page == 3
+        })
+        .unwrap();
+        assert_eq!(pn, PageName::new(fv(), 3, DiskAddress(42)));
+        assert_eq!(label.next, DiskAddress(43));
+        assert_eq!(data, [2; DATA_WORDS]);
+        let want: Vec<_> = (0..3u16).map(|i| (i + 1, DiskAddress(40 + i), i)).collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn follow_stops_at_a_nil_link() {
+        let mut d = drive();
+        consecutive_pages(&mut d, 4);
+        let start = PageName::new(fv(), 2, DiskAddress(41));
+        let (pn, label, data) = follow(&mut d, start, |_, _, _| false).unwrap();
+        assert_eq!(pn, PageName::new(fv(), 4, DiskAddress(43)));
+        assert!(label.next.is_nil());
+        assert_eq!(data, [3; DATA_WORDS]);
+        // No page can follow page 65535: its link is corruption, not a
+        // page the walk could number.
+        let top = label_for(u16::MAX, DiskAddress(41), DiskAddress::NIL);
+        allocate_at(&mut d, DiskAddress(50), top, &[0; DATA_WORDS]).unwrap();
+        let start = PageName::new(fv(), u16::MAX, DiskAddress(50));
+        assert!(matches!(
+            follow(&mut d, start, |_, _, _| false),
+            Err(FsError::Corrupt {
+                da: DiskAddress(50),
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn follow_stops_at_a_stale_address_with_its_check_error() {
+        let mut d = drive();
+        consecutive_pages(&mut d, 4);
+        // Page 2's link now names a free sector.
+        let stale = label_for(2, DiskAddress(90), DiskAddress(40));
+        let pn = PageName::new(fv(), 2, DiskAddress(41));
+        rewrite_label(&mut d, pn, stale, &[1; DATA_WORDS]).unwrap();
+        let start = PageName::new(fv(), 1, DiskAddress(40));
+        let mut pages = 0;
+        let err = follow(&mut d, start, |_, _, _| {
+            pages += 1;
+            false
+        })
+        .unwrap_err();
+        assert_eq!(pages, 2, "the stale page reached the predicate");
+        match err {
+            FsError::Disk(DiskError::Check(c)) => {
+                assert_eq!((c.da, c.part), (DiskAddress(90), SectorPart::Label));
+            }
+            other => panic!("expected a check failure, got {other:?}"),
+        }
     }
 
     #[test]

@@ -736,25 +736,15 @@ fn repair_around<D: Disk>(
 /// Builds a fresh descriptor file (leader at the standard address plus data
 /// pages) from the current in-memory descriptor.
 fn rebuild_descriptor_file<D: Disk>(fs: &mut FileSystem<D>) -> Result<(), FsError> {
-    let desc_fv = descriptor::descriptor_fv();
     let leader = LeaderPage::new(descriptor::DESCRIPTOR_NAME, fs.now())?;
     // The standard address must be free on the medium by now.
     let payload = crate::file::words_to_bytes(&fs.descriptor().encode());
-    let leader_label = Label {
-        fid: desc_fv.serial.words(),
-        version: desc_fv.version,
-        page_number: 0,
-        length: crate::file::PAGE_BYTES as u16,
-        next: DiskAddress::NIL,
-        prev: DiskAddress::NIL,
-    };
-    page::allocate_at(
-        fs.disk_mut(),
+    fs.build_file_at(
+        descriptor::descriptor_fv(),
         descriptor::DESCRIPTOR_LEADER_DA,
-        leader_label,
-        &leader.encode(),
-    )?;
-    fs.chain_data_pages_for_scavenger(desc_fv, descriptor::DESCRIPTOR_LEADER_DA, leader, &payload)
+        leader,
+        &payload,
+    )
 }
 
 /// Gives a bare-leader file its mandatory empty page 1.

@@ -29,5 +29,5 @@ pub mod server;
 pub use client::{ClientConfig, ClientFleet, ClientPhase, FleetStats, ScriptedClient};
 pub use ether::{Ether, HostId, NetError};
 pub use packet::{Packet, PacketType, MAX_PAYLOAD_WORDS};
-pub use proto::{echo_responder, ping, receive_file, send_file, ProtoError};
+pub use proto::{echo_responder, ping, receive_file, ProtoError};
 pub use server::{OpenInfo, PageRequest, PageServer, PageStore, ServerStats, PAGE_SERVICE_SOCKET};

@@ -1,10 +1,13 @@
 //! A minimal stop-and-wait file-transfer protocol.
 //!
 //! Enough protocol to move a file (e.g. a print job) between hosts with
-//! per-packet acknowledgement and retransmission over a lossy ether. Both
-//! ends are *polled* state machines — no threads — so the printing-server
-//! example can interleave a spooler and a printer the way the paper's
-//! coroutines did (§4).
+//! per-packet acknowledgement and retransmission over a lossy ether. The
+//! receiving end is a *polled* state machine, [`Receiver`] — no threads —
+//! so the printing-server example can interleave a spooler and a printer
+//! the way the paper's coroutines did (§4). The one sender is
+//! [`receive_file`]'s loop: it sends a packet, steps a receiver on the same
+//! ether, and retransmits until that packet's ack comes back, so the two
+//! ends take turns on the single-threaded ether like coroutines.
 
 use std::fmt;
 
@@ -54,61 +57,6 @@ impl From<NetError> for ProtoError {
 
 /// Retransmissions per packet before giving up.
 const MAX_RETRIES: u32 = 16;
-
-/// Sends `words` from `src` to `dst` on `socket`, stop-and-wait with
-/// retransmission. Returns the number of data packets (excluding
-/// retransmissions). The receiver must be driven by [`receive_file`]
-/// on the same ether — this function polls for its acknowledgements.
-pub fn send_file(
-    ether: &mut Ether,
-    src: HostId,
-    dst: HostId,
-    socket: u16,
-    ack_socket: u16,
-    words: &[u16],
-) -> Result<u32, ProtoError> {
-    let mut packets = 0u32;
-    let chunks: Vec<&[u16]> = if words.is_empty() {
-        vec![&[][..]]
-    } else {
-        words.chunks(MAX_PAYLOAD_WORDS).collect()
-    };
-    let total = chunks.len();
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let is_last = i + 1 == total;
-        let seq = i as u16;
-        let packet = Packet {
-            ptype: if is_last {
-                PacketType::End
-            } else {
-                PacketType::Data
-            },
-            dst_host: dst,
-            src_host: src,
-            dst_socket: socket,
-            src_socket: ack_socket,
-            seq,
-            payload: chunk.to_vec(),
-        };
-        let mut acked = false;
-        for _ in 0..=MAX_RETRIES {
-            ether.send(packet.clone())?;
-            // Poll for the ack (the medium delivers instantly at the end
-            // of transmission; a lost ack shows up as silence).
-            if let Some(ack) = ether.receive(src, ack_socket)? {
-                if ack.ptype == PacketType::Ack && ack.seq == seq {
-                    acked = true;
-                    break;
-                }
-            }
-        }
-        if !acked {
-            return Err(ProtoError::TooManyRetries { seq });
-        }
-        packets += 1;
-    }
-    Ok(packets)
-}
 
 /// Receive state machine: drives one transfer via [`Receiver::step`].
 #[derive(Debug)]

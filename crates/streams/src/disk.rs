@@ -61,7 +61,7 @@ use std::ops::Range;
 use alto_disk::{Disk, DiskAddress, Label, UnparkOutcome, DATA_WORDS};
 use alto_fs::file::{data_length, pack_bytes, PAGE_BYTES};
 use alto_fs::names::FileFullName;
-use alto_fs::page::{confirmed_run, confirmed_write_run};
+use alto_fs::page::{confirmed_run, confirmed_write_run, follow};
 use alto_fs::{FileSystem, FsError, PageName};
 
 use crate::errors::StreamError;
@@ -200,15 +200,15 @@ impl<D: Disk> DiskByteStream<D> {
     /// where it was.
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, pos: u64) -> Result<(), StreamError> {
         self.check_open()?;
-        let target_page = (pos / PAGE_BYTES as u64) as u16 + 1;
+        let target_page = pos / PAGE_BYTES as u64 + 1;
         let target_offset = (pos % PAGE_BYTES as u64) as usize;
         let past_end = |last| {
             StreamError::Fs(FsError::PastEnd {
-                page: target_page,
+                page: u16::try_from(target_page).unwrap_or(u16::MAX),
                 last,
             })
         };
-        if target_page == self.page {
+        if target_page == u64::from(self.page) {
             if target_offset > self.label.length as usize {
                 return Err(past_end(self.page));
             }
@@ -218,38 +218,31 @@ impl<D: Disk> DiskByteStream<D> {
         self.flush(fs)?;
         // Walk from the current page if the target is ahead, else from
         // page 1 via the leader.
-        let (mut page, mut da) = if target_page > self.page {
-            (self.page, self.da)
+        let from = if target_page > u64::from(self.page) {
+            PageName::new(self.file.fv, self.page, self.da)
         } else {
             let (leader_label, _) = fs.open_leader(self.file)?;
-            (1, leader_label.next)
+            PageName::new(self.file.fv, 1, leader_label.next)
         };
-        loop {
-            let pn = PageName::new(self.file.fv, page, da);
-            let (label, buffer) = fs.read_page(pn)?;
-            if page == target_page {
-                // Validate the offset before committing any state.
-                if target_offset > label.length as usize {
-                    return Err(past_end(page));
-                }
-                self.enter_page(page, da, label, buffer)?;
-                self.offset = target_offset;
-                return Ok(());
-            }
-            if label.next.is_nil() {
-                if page + 1 == target_page
-                    && target_offset == 0
-                    && label.length as usize == PAGE_BYTES
-                {
-                    self.enter_page(page, da, label, buffer)?;
-                    self.offset = PAGE_BYTES;
-                    return Ok(());
-                }
-                return Err(past_end(page));
-            }
-            page += 1;
-            da = label.next;
+        let (pn, label, buffer) = follow(fs.disk_mut(), from, |pn, _, _| {
+            u64::from(pn.page) == target_page
+        })?;
+        // Validate the offset before committing any state. The walk ended
+        // on the target page or, at a nil link, on the last page, whose
+        // offset 512 is the end of a file of whole pages.
+        let offset = if u64::from(pn.page) == target_page {
+            target_offset
+        } else if u64::from(pn.page) + 1 == target_page && target_offset == 0 {
+            PAGE_BYTES
+        } else {
+            return Err(past_end(pn.page));
+        };
+        if offset > label.length as usize {
+            return Err(past_end(pn.page));
         }
+        self.enter_page(pn.page, pn.da, label, buffer)?;
+        self.offset = offset;
+        Ok(())
     }
 
     /// The file this stream is open on.
@@ -872,16 +865,14 @@ impl<D: Disk> DiskByteStream<D> {
         self.flush(fs)?;
         if self.resized {
             // Find the file's last page (usually the current one).
-            let (mut page, mut da, mut label) = (self.page, self.da, self.label);
-            while !label.next.is_nil() {
-                page += 1;
-                da = label.next;
-                let (l, _) = fs.read_page(PageName::new(self.file.fv, page, da))?;
-                label = l;
+            let mut last = PageName::new(self.file.fv, self.page, self.da);
+            if !self.label.next.is_nil() {
+                let next = PageName::new(self.file.fv, self.page + 1, self.label.next);
+                last = follow(fs.disk_mut(), next, |_, _, _| false)?.0;
             }
             let mut leader = fs.read_leader(self.file)?;
-            leader.last_page = page;
-            leader.last_da = da;
+            leader.last_page = last.page;
+            leader.last_da = last.da;
             leader.written = fs.now();
             fs.write_leader(self.file, &leader)?;
             self.resized = false;
@@ -950,9 +941,10 @@ impl<D: Disk> DiskWordStream<D> {
         self.inner.position() / 2
     }
 
-    /// Seeks to a word position (non-standard operation).
+    /// Seeks to a word position (non-standard operation). A position
+    /// whose byte offset overflows lies past the end of any file.
     pub fn set_position(&mut self, fs: &mut FileSystem<D>, words: u64) -> Result<(), StreamError> {
-        self.inner.set_position(fs, words * 2)
+        self.inner.set_position(fs, words.saturating_mul(2))
     }
 }
 
@@ -1137,6 +1129,28 @@ mod tests {
         let mut want = whole.to_vec();
         want.push(0xEE);
         assert_eq!(fs.read_file(g).unwrap(), want);
+
+        // Targets past page 65,535 are past the end of any file, with no
+        // wrap of the page number: the cursor stays where it was.
+        let h = file_named(&mut fs, "r.dat");
+        fs.write_file(h, b"hello world").unwrap();
+        let mut s = DiskByteStream::open(&mut fs, h).unwrap();
+        s.get_byte(&mut fs).unwrap();
+        let wrapped = 65_536 * PAGE_BYTES as u64 + 4;
+        assert!(matches!(
+            s.set_position(&mut fs, wrapped),
+            Err(StreamError::Fs(FsError::PastEnd { last: 1, .. }))
+        ));
+        assert_eq!(s.position(), 1);
+        assert_eq!(s.get_byte(&mut fs).unwrap(), b'e');
+        let mut s = DiskByteStream::open(&mut fs, g).unwrap();
+        for pos in [65_535 * PAGE_BYTES as u64, u64::MAX] {
+            assert!(s.set_position(&mut fs, pos).is_err(), "{pos}");
+            assert_eq!(s.position(), 0, "after the failed seek to {pos}");
+        }
+        let mut w = DiskWordStream::open(&mut fs, g).unwrap();
+        assert!(w.set_position(&mut fs, u64::MAX / 2 + 1).is_err());
+        assert_eq!(w.position(), 0);
     }
 
     /// The address of page `k` of `f`, found by following the links.

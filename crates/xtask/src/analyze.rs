@@ -190,7 +190,7 @@ fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec
 }
 
 /// Error sources whose `Result` carries a `DiskError` or a net send status.
-const ERROR_SOURCES: [&str; 12] = [
+const ERROR_SOURCES: [&str; 13] = [
     ".send(",
     ".do_op(",
     ".do_batch(",
@@ -203,6 +203,7 @@ const ERROR_SOURCES: [&str; 12] = [
     "complete_with_retry(",
     "transfer(",
     "rewrite_label(",
+    "follow(",
 ];
 
 /// `error-path-discard`: on fs/streams/net production paths, a disk or send

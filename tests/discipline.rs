@@ -328,9 +328,16 @@ fn forgetful_drain(&mut self, fs: &mut FileSystem<D>) {
     );
 }
 "#;
+    // The link walk's result, whose error is a failed check or a cycle.
+    let forgetful_seek = r#"
+fn forgetful_seek(&mut self, fs: &mut FileSystem<D>, from: PageName) {
+    let _ = follow(fs.disk_mut(), from, |_, _, _| false);
+}
+"#;
     for (path, seeded) in [
         ("crates/fs/src/mutant.rs", forgetful_flush),
         ("crates/streams/src/mutant.rs", forgetful_drain),
+        ("crates/streams/src/mutant.rs", forgetful_seek),
     ] {
         let report = xtask::analyze_sources(&[(path, seeded)]);
         assert!(
