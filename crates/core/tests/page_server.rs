@@ -9,11 +9,13 @@
 use alto_disk::{Disk, DiskDrive, DiskModel, FaultKind, DATA_WORDS};
 use alto_fs::file::PAGE_BYTES;
 use alto_fs::{dir, FileSystem, PageName};
+use alto_net::ether::WORD_TIME;
+use alto_net::packet::HEADER_WORDS;
 use alto_net::server::{
     encode_name, OpenInfo, PageRequest, PageStore, ERR_REPLY, OPEN_REQUEST, PAGE_SERVICE_SOCKET,
     READ_REQUEST, STATUS_BAD_HANDLE, STATUS_BAD_PAGE, STATUS_IO,
 };
-use alto_net::{ClientConfig, ClientFleet, ClientPhase, Ether, Packet, PageServer};
+use alto_net::{ClientConfig, ClientFleet, ClientPhase, Ether, Packet, PacketType, PageServer};
 use alto_os::FsPageService;
 use alto_sim::{SimClock, SimTime, Trace};
 
@@ -661,6 +663,21 @@ fn two_sector_loop_fails_the_request_instead_of_hanging() {
     assert!(elapsed < SimTime::from_secs(60), "walk took {elapsed:?}");
 }
 
+/// Sends a raw request from host 2, socket 0o100, to the page server on
+/// host 1.
+fn send_request(ether: &mut Ether, ptype: PacketType, payload: Vec<u16>, seq: u16) {
+    let pkt = Packet {
+        ptype,
+        dst_host: 1,
+        src_host: 2,
+        dst_socket: PAGE_SERVICE_SOCKET,
+        src_socket: 0o100,
+        seq,
+        payload,
+    };
+    ether.send(pkt).expect("send");
+}
+
 #[test]
 fn malformed_open_and_read_packets_get_error_replies() {
     let (mut fs, clock) = small_fs("served.dat", 2);
@@ -672,34 +689,21 @@ fn malformed_open_and_read_packets_get_error_replies() {
     let mut server = PageServer::new(1);
     let mut service = FsPageService::new(&mut fs);
 
-    let send = |ether: &mut Ether, ptype, payload: Vec<u16>, seq| {
-        let pkt = Packet {
-            ptype,
-            dst_host: 1,
-            src_host: 2,
-            dst_socket: PAGE_SERVICE_SOCKET,
-            src_socket: 0o100,
-            seq,
-            payload,
-        };
-        ether.send(pkt).expect("send");
-    };
-
     // A valid open first, so bad reads below have a session to land in.
     let mut name = Vec::new();
     encode_name("served.dat", &mut name);
-    send(&mut ether, OPEN_REQUEST, name, 0);
+    send_request(&mut ether, OPEN_REQUEST, name, 0);
     // Hostile opens: empty payload, declared length past the words
     // supplied, invalid UTF-8 in the name bytes.
-    send(&mut ether, OPEN_REQUEST, vec![], 1);
-    send(&mut ether, OPEN_REQUEST, vec![500, 0x4141], 2);
-    send(&mut ether, OPEN_REQUEST, vec![2, 0xFFFE], 3);
+    send_request(&mut ether, OPEN_REQUEST, vec![], 1);
+    send_request(&mut ether, OPEN_REQUEST, vec![500, 0x4141], 2);
+    send_request(&mut ether, OPEN_REQUEST, vec![2, 0xFFFE], 3);
     // Hostile reads: mis-sized payload, forged handle, page 0, page past
     // the end of the open file.
-    send(&mut ether, READ_REQUEST, vec![0, 1, 2], 4);
-    send(&mut ether, READ_REQUEST, vec![77, 1], 5);
-    send(&mut ether, READ_REQUEST, vec![0, 0], 6);
-    send(&mut ether, READ_REQUEST, vec![0, 999], 7);
+    send_request(&mut ether, READ_REQUEST, vec![0, 1, 2], 4);
+    send_request(&mut ether, READ_REQUEST, vec![77, 1], 5);
+    send_request(&mut ether, READ_REQUEST, vec![0, 0], 6);
+    send_request(&mut ether, READ_REQUEST, vec![0, 999], 7);
 
     for _ in 0..8 {
         server.tick(&mut ether, &mut service).expect("tick");
@@ -715,4 +719,73 @@ fn malformed_open_and_read_packets_get_error_replies() {
         }
     }
     assert_eq!(errs, 7);
+}
+
+/// Disk and wire work at the same time: a tick that sends held pages and
+/// runs a chain lasts as long as the longer of the two, not their sum.
+#[test]
+fn a_tick_lasts_max_of_disk_and_wire_not_their_sum() {
+    let clock = SimClock::new();
+    let trace = Trace::new();
+    trace.set_enabled(false);
+    let drive = DiskDrive::with_formatted_pack(clock.clone(), trace.clone(), DiskModel::Trident, 1);
+    let mut fs = FileSystem::format(drive).expect("format");
+    let root = fs.root_dir();
+    for (f, name) in ["a.dat", "b.dat"].into_iter().enumerate() {
+        let file = dir::create_named_file(&mut fs, root, name).expect("create");
+        fs.write_file(file, &file_bytes(f, 40)).expect("write");
+    }
+    let mut ether = Ether::new(clock.clone(), trace);
+    ether.attach(1).expect("server host");
+    ether.attach(2).expect("client host");
+    let mut server = PageServer::new(1);
+    let mut service = FsPageService::new(&mut fs);
+    let drain = |ether: &mut Ether| {
+        let mut replies = 0;
+        while ether.receive(2, 0o100).expect("recv").is_some() {
+            replies += 1;
+        }
+        replies
+    };
+
+    // Open both files (handles 0 and 1), then read `a.dat` page 1: its
+    // chain also reads pages 2–17 into the window.
+    for (seq, name) in ["a.dat", "b.dat"].into_iter().enumerate() {
+        let mut payload = Vec::new();
+        encode_name(name, &mut payload);
+        send_request(&mut ether, OPEN_REQUEST, payload, seq as u16);
+    }
+    server.tick(&mut ether, &mut service).expect("tick");
+    send_request(&mut ether, READ_REQUEST, vec![0, 1], 2);
+    server.tick(&mut ether, &mut service).expect("tick");
+    assert_eq!(drain(&mut ether), 3);
+
+    // One tick: eight held pages of `a.dat` and a miss on `b.dat`.
+    for page in 2..=9 {
+        send_request(&mut ether, READ_REQUEST, vec![0, page], 2 + page);
+    }
+    send_request(&mut ether, READ_REQUEST, vec![1, 1], 12);
+    let start = clock.now();
+    let busy = service.fs().disk().stats().busy_time();
+    server.tick(&mut ether, &mut service).expect("tick");
+    let elapsed = clock.now() - start;
+    let disk = service.fs().disk().stats().busy_time() - busy;
+    // A page reply's wire image: header, the page and the checksum.
+    let wire = WORD_TIME.scaled((HEADER_WORDS + DATA_WORDS + 1) as u64);
+    assert_eq!(drain(&mut ether), 9);
+    assert_eq!(server.stats.served, 10);
+    assert!(disk > SimTime::ZERO, "the miss on b.dat ran no chain");
+    assert!(
+        elapsed >= disk,
+        "tick {elapsed} ended before its chain ({disk})"
+    );
+    assert!(
+        elapsed >= wire.scaled(9),
+        "tick {elapsed} ended before its nine replies left the wire"
+    );
+    assert!(
+        elapsed < disk + wire.scaled(8),
+        "tick {elapsed} = chain {disk} plus the held replies' wire time: \
+         the replies waited for each other instead of for the wire"
+    );
 }

@@ -1,7 +1,9 @@
 //! The §3.3 auditor only watches. Arming it must not change what a batch
 //! does — elapsed time, results, delivered words, trace events — even when
-//! the visitor of a zero-copy batch spends time on the shared clock, as the
-//! page server's reply sends do.
+//! the visitor of a zero-copy batch spends time on the shared clock, as a
+//! blocking send on the Ether from inside a visit would. (The page server
+//! posts its replies, so its visits no longer move the clock; this file
+//! keeps the case.)
 
 use alto_disk::{
     Disk, DiskAddress, DiskDrive, DiskError, DiskModel, DriveArray, Placement, WriteSource,
@@ -13,7 +15,7 @@ use alto_sim::{SimClock, SimTime, Trace, TraceEvent};
 /// puts it on arm 1 at local address `DAMAGED / 2`.
 const DAMAGED: u16 = 301;
 
-/// Shared-clock time each visit spends, like a reply send on the Ether.
+/// Shared-clock time each visit spends, like a blocking send on the Ether.
 const VISIT_COST: SimTime = SimTime::from_micros(700);
 
 /// Everything a write batch and a read batch show their caller.

@@ -1,12 +1,21 @@
 //! The broadcast medium: a simulated 3 Mb/s Ethernet.
 //!
-//! Hosts attach to the ether and exchange [`Packet`]s; transmission charges
-//! the shared clock at the experimental Ethernet's 3 Mb/s (≈5.33 µs per
-//! 16-bit word), and each packet arrives at its destination, stamped with
-//! that instant, when its transmission ends. The sender pays, and the
-//! shared clock only moves forward, so sends on the one wire never
-//! overlap and every inbox fills in arrival order. Deterministic packet
-//! loss can be injected for protocol testing.
+//! Hosts attach to the ether and exchange [`Packet`]s. A transmission takes
+//! the experimental Ethernet's 3 Mb/s (≈5.33 µs per 16-bit word), and each
+//! packet arrives at its destination, stamped with that instant, when its
+//! transmission ends. The wire keeps the instant its last transmission
+//! ends, and a packet starts at the later of now and that instant, so
+//! transmissions on the one wire never overlap and every inbox fills in
+//! arrival order.
+//!
+//! A sender chooses whether to pay. [`Ether::send`] is the blocking form:
+//! the sender's clock moves to the packet's arrival, as a host that waits
+//! for its interface to finish does. [`Ether::post`] queues the packet on
+//! the wire and returns its arrival without moving the clock, so a host
+//! with other work (the page server's disk) does it while the wire runs,
+//! and later waits for the wire with [`Ether::wait_for_wire`] (the Alto's
+//! disk and Ethernet controllers move data at the same time).
+//! Deterministic packet loss can be injected for protocol testing.
 
 use std::collections::VecDeque;
 
@@ -83,6 +92,9 @@ pub struct Ether {
     loss_num: u64,
     loss_denom: u64,
     rng: SplitMix64,
+    /// The instant the last transmission ends: the next one starts no
+    /// earlier.
+    wire_free: SimTime,
     /// Packets put on the wire.
     pub sent: u64,
     /// Packets dropped by injected loss.
@@ -102,6 +114,7 @@ impl Ether {
             loss_num: 0,
             loss_denom: 1,
             rng: SplitMix64::new(0xE7E7),
+            wire_free: SimTime::ZERO,
             sent: 0,
             lost: 0,
             spare: Vec::new(),
@@ -138,7 +151,8 @@ impl Ether {
         self.rng = SplitMix64::new(seed);
     }
 
-    /// The clock transmissions are charged to.
+    /// The shared clock: a transmission starts no earlier than its now, and
+    /// [`Ether::send`] and [`Ether::wait_for_wire`] move it.
     pub fn clock(&self) -> &SimClock {
         &self.clock
     }
@@ -173,16 +187,27 @@ impl Ether {
         }
     }
 
-    /// Puts a packet on the wire. The sender pays the transmission time;
-    /// the packet arrives at the destination (or, for `dst_host == 0`, at
-    /// every other host) when the transmission ends.
+    /// Puts a packet on the wire and waits for it: the blocking form of
+    /// [`Ether::post`]. The sender pays: the clock moves to the packet's
+    /// arrival (its own transmission, behind any posted before it).
     pub fn send(&mut self, packet: Packet) -> Result<(), NetError> {
+        self.post(packet)?;
+        self.wait_for_wire();
+        Ok(())
+    }
+
+    /// Queues a packet on the wire without moving the clock and returns its
+    /// arrival. Its transmission starts at the later of now and the end of
+    /// the last one, and the packet arrives at the destination (or, for
+    /// `dst_host == 0`, at every other host) when it ends. A packet lost to
+    /// injected loss holds the wire all the same.
+    pub fn post(&mut self, packet: Packet) -> Result<SimTime, NetError> {
         self.check_attached(packet.src_host)?;
         if packet.dst_host != 0 {
             self.check_attached(packet.dst_host)?;
         }
         if packet.payload.len() > MAX_PAYLOAD_WORDS {
-            // Refuse before charging the wire: the receive side would
+            // Refuse before occupying the wire: the receive side would
             // reject the image anyway (see `Packet::decode`), and the
             // sender finding out *here* is the bug fix — this used to
             // panic on the self-decode below.
@@ -192,11 +217,9 @@ impl Ether {
         // packet's payload is recycled below once its words are encoded.
         let mut wire = self.words();
         packet.encode_into(&mut wire);
-        // lint: allow(clock-discipline) — the Ethernet is a hardware model
-        // with the same standing as the disk: transmission charges wire time
-        // per word to the shared timeline
-        self.clock.advance(WORD_TIME.scaled(wire.len() as u64));
-        let arrival = self.clock.now();
+        let start = self.clock.now().max(self.wire_free);
+        let arrival = start + WORD_TIME.scaled(wire.len() as u64);
+        self.wire_free = arrival;
         self.sent += 1;
         if self.loss_num > 0 && self.rng.chance(self.loss_num, self.loss_denom) {
             self.lost += 1;
@@ -204,7 +227,7 @@ impl Ether {
                 .record_with(arrival, "net.lost", || format!("seq {}", packet.seq));
             self.recycle(wire);
             self.recycle(packet.payload);
-            return Ok(());
+            return Ok(arrival);
         }
         self.trace.record_with(arrival, "net.sent", || {
             format!(
@@ -222,7 +245,7 @@ impl Ether {
             if let Some(inbox) = self.inboxes.iter_mut().find(|i| i.host == packet.dst_host) {
                 inbox.push(arrival, delivered);
             }
-            return Ok(());
+            return Ok(arrival);
         }
         // Broadcast: every other host revalidates and takes its own copy.
         for k in 0..self.inboxes.len() {
@@ -235,7 +258,17 @@ impl Ether {
         }
         self.recycle(wire);
         self.recycle(packet.payload);
-        Ok(())
+        Ok(arrival)
+    }
+
+    /// Moves the clock to the end of the last transmission, if it is still
+    /// on the wire: a host that posted packets waits here for its
+    /// interface to finish. On an idle wire it does nothing.
+    pub fn wait_for_wire(&mut self) {
+        // lint: allow(clock-discipline) — the Ethernet is a hardware model
+        // with the same standing as the disk: a host waiting for its
+        // transmissions charges their wire time to the shared timeline
+        self.clock.advance_to(self.wire_free);
     }
 
     /// Receives the next packet for `host` on `socket` that has arrived by
@@ -367,9 +400,29 @@ mod tests {
         let mut e = ether();
         let before = e.clock().now();
         let p = packet(1, 2, 0x30, 1);
-        let words = p.wire_words() as u64;
+        let wire = WORD_TIME.scaled(p.wire_words() as u64);
         e.send(p).unwrap();
-        assert_eq!(e.clock().now() - before, WORD_TIME.scaled(words));
+        assert_eq!(e.clock().now() - before, wire);
+        // The wire is idle again, so waiting for it does nothing.
+        e.wait_for_wire();
+        assert_eq!(e.clock().now() - before, wire);
+        // A post moves no clock and returns its arrival; the next post
+        // queues one wire time behind it.
+        let start = e.clock().now();
+        assert_eq!(e.post(packet(1, 2, 0x30, 2)), Ok(start + wire));
+        assert_eq!(e.post(packet(1, 3, 0x30, 3)), Ok(start + wire.scaled(2)));
+        assert_eq!(e.clock().now(), start);
+        // A send behind them pays for its own place in the queue: the
+        // clock moves to its arrival, the third wire time.
+        e.send(packet(3, 2, 0x30, 4)).unwrap();
+        assert_eq!(e.clock().now(), start + wire.scaled(3));
+        // Posted on an idle wire, a packet starts now, and the wait moves
+        // the clock to its arrival.
+        e.idle_wait(SimTime::from_millis(1));
+        let idle = e.clock().now();
+        assert_eq!(e.post(packet(1, 2, 0x30, 5)), Ok(idle + wire));
+        e.wait_for_wire();
+        assert_eq!(e.clock().now(), idle + wire);
     }
 
     #[test]
@@ -410,6 +463,24 @@ mod tests {
             received += 1;
         }
         assert_eq!(received + e.lost, 100);
+
+        // A posted packet lost in transit holds the wire all the same: the
+        // next one queues behind it.
+        let mut e = ether();
+        let wire = WORD_TIME.scaled(packet(1, 2, 0x30, 0).wire_words() as u64);
+        let start = e.clock().now();
+        e.set_loss(1, 1, 42);
+        assert_eq!(e.post(packet(1, 2, 0x30, 1)), Ok(start + wire));
+        assert_eq!(e.lost, 1);
+        e.set_loss(0, 1, 42);
+        assert_eq!(e.post(packet(1, 2, 0x30, 2)), Ok(start + wire.scaled(2)));
+        e.wait_for_wire();
+        let mut out = Vec::new();
+        e.drain_arrived(2, &mut out).unwrap();
+        assert_eq!(
+            out.iter().map(|(at, p)| (*at, p.seq)).collect::<Vec<_>>(),
+            vec![(start + wire.scaled(2), 2)]
+        );
     }
 
     #[test]
@@ -456,6 +527,18 @@ mod tests {
         e.drain_arrived(2, &mut out).unwrap();
         assert!(out.is_empty());
         assert_eq!(e.drain_arrived(99, &mut out), Err(NetError::NoSuchHost(99)));
+
+        // A posted packet is not there until its transmission ends; a send
+        // behind it arrives after it, and by then both have arrived.
+        let posted = e.post(packet(3, 2, 0x33, 4)).unwrap();
+        e.drain_arrived(2, &mut out).unwrap();
+        assert!(out.is_empty(), "drained a packet still on the wire");
+        e.send(packet(1, 2, 0x30, 5)).unwrap();
+        e.drain_arrived(2, &mut out).unwrap();
+        assert_eq!(
+            out.iter().map(|(at, p)| (*at, p.seq)).collect::<Vec<_>>(),
+            vec![(posted, 4), (posted + wire(5), 5)]
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! * [`Packet`] — a Pup-flavoured packet with a word-level wire format and
 //!   a software checksum (the *standardized representation*);
-//! * [`Ether`] — a broadcast medium with 3 Mb/s transmission timing charged
-//!   to the shared simulated clock, optional packet loss for protocol
-//!   tests, and per-host receive queues;
+//! * [`Ether`] — a broadcast medium with 3 Mb/s transmission timing on one
+//!   serial wire, paid by a blocking sender ([`Ether::send`]) or run beside
+//!   the sender's other work ([`Ether::post`]), optional packet loss for
+//!   protocol tests, and per-host receive queues;
 //! * [`proto`] — a minimal stop-and-wait file-transfer protocol over it;
 //! * [`server`] / [`client`] — the page/file server of §5.2 and the
 //!   scripted diskless clients that load it: batched cross-client service

@@ -20,7 +20,14 @@
 //! * replies are assembled on the ether's recycled payload vectors
 //!   ([`Ether::words`]), filled straight from the store's zero-copy sector
 //!   views: one copy platter → payload, no staging buffer, no per-request
-//!   allocation.
+//!   allocation;
+//! * replies are posted ([`Ether::post`]), not sent: the disk goes on
+//!   working while the wire carries them. The replies of pages the store
+//!   holds in core leave at the tick's start, while the chain runs from
+//!   that same instant, and each page read from the disk leaves at its
+//!   sector's instant or behind the reply before it. The tick ends with
+//!   [`Ether::wait_for_wire`], when both disk and wire are done: it lasts
+//!   max(disk, wire), not their sum.
 //!
 //! The protocol is Pup-flavoured and deliberately idempotent: re-opening a
 //! name returns the same handle and re-reading a page returns the same
@@ -143,15 +150,16 @@ pub trait PageStore {
     /// each of them.
     ///
     /// Each `deliver` runs with the shared clock at its page's instant: the
-    /// moment the sector left the platter, or later if earlier deliveries
-    /// (reply sends) already spent the clock past it. A reply sent from
-    /// `deliver` therefore leaves no earlier than its data exists and queues
-    /// behind the previous reply on the one wire.
+    /// moment the sector left the platter. The server posts its reply from
+    /// `deliver` ([`Ether::post`]), which moves no clock, so the reply
+    /// leaves no earlier than its data exists, queues behind the previous
+    /// reply on the one wire, and leaves the chain's timing alone.
     ///
     /// A store may hold pages in core, read ahead of its sequential
     /// clients. Held pages are delivered first, from memory, at the current
     /// instant, before the batch goes to the disk; only the rest ride the
-    /// chain.
+    /// chain. Their replies are posted at the tick's start and go out while
+    /// the chain runs from that same instant.
     fn serve<F>(&mut self, reqs: &[PageRequest], failed: &mut Vec<(u32, u16)>, deliver: F)
     where
         F: FnMut(u32, &[u16; DATA_WORDS]);
@@ -254,8 +262,10 @@ impl PageServer {
 
     /// Runs one service tick: drain everything that has arrived, answer
     /// opens, collect reads, serve them through `store` (one batch, or one
-    /// by one under the ablation), and send every reply. Returns how many
-    /// packets were processed (0 means the tick was idle).
+    /// by one under the ablation), and post every reply. The tick ends when
+    /// the last reply has left the wire, or when the disk is done if that
+    /// is later. Returns how many packets were processed (0 means the tick
+    /// was idle).
     pub fn tick<S: PageStore>(
         &mut self,
         ether: &mut Ether,
@@ -335,6 +345,7 @@ impl PageServer {
             let to = self.pending[tag as usize];
             self.error_reply(ether, to, status);
         }
+        ether.wait_for_wire();
         Ok(processed)
     }
 
@@ -436,19 +447,20 @@ impl PageServer {
     }
 }
 
-/// Sends one reply; a refused send is counted and traced (`net.send_drop`)
+/// Posts one reply (page, open or error) on the wire; the tick waits for
+/// it at its end. A refused reply is counted and traced (`net.send_drop`)
 /// instead of vanishing. The protocol is idempotent, so the client's
 /// retransmission recovers the loss — but the operator gets to see it.
 fn send_reply(ether: &mut Ether, send_failures: &mut u64, reply: Packet) {
     let dst = reply.dst_host;
     let seq = reply.seq;
-    if ether.send(reply).is_err() {
+    if ether.post(reply).is_err() {
         *send_failures += 1;
         ether.note("net.send_drop", || format!("reply to {dst} seq {seq}"));
     }
 }
 
-/// Builds and sends one page reply on a recycled payload — the single copy
+/// Builds and posts one page reply on a recycled payload — the single copy
 /// of the page's 512 bytes between platter and wire.
 fn send_page_reply(
     ether: &mut Ether,

@@ -190,8 +190,9 @@ fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec
 }
 
 /// Error sources whose `Result` carries a `DiskError` or a net send status.
-const ERROR_SOURCES: [&str; 13] = [
+const ERROR_SOURCES: [&str; 14] = [
     ".send(",
+    ".post(",
     ".do_op(",
     ".do_batch(",
     "read_page(",

@@ -26,7 +26,7 @@ fn page_words() -> u64 {
     wire_words(256) + wire_words(2)
 }
 
-/// `Ether::send` asserts, in debug builds, that arrival stamps never
+/// `Ether::post` asserts, in debug builds, that arrival stamps never
 /// decrease along an inbox; every leg of the fleet round must keep it.
 #[cfg(debug_assertions)]
 #[test]

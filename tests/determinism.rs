@@ -34,8 +34,11 @@ fn server_round_is_bit_identical_across_run_repeat_and_audited_legs() {
 }
 
 /// The auditor only watches: arming it must not shift a single simulated
-/// nanosecond, even where the page server's reply sends spend shared-clock
-/// time inside a zero-copy batch read.
+/// nanosecond of the server round, whose zero-copy batch reads the audited
+/// leg stages through a buffer on the same instants. The page server posts
+/// its replies, so its visits no longer move the clock; the case of a
+/// visitor that spends shared-clock time inside a batch read is kept by
+/// `crates/disk/tests/audit_observer.rs`.
 #[test]
 fn audit_never_moves_simulated_time() {
     let on = server_round(120, 2, true);

@@ -353,20 +353,22 @@ fn forgetful_seek(&mut self, fs: &mut FileSystem<D>, from: PageName) {
 
 #[test]
 fn analyze_catches_swallowed_send_result() {
-    let seeded = r#"
-fn fire_and_forget(&mut self, ether: &mut Ether, reply: Packet) {
-    ether.send(reply).ok();
-}
-"#;
-    let report = xtask::analyze_sources(&[("crates/net/src/mutant.rs", seeded)]);
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.rule == "error-path-discard"),
-        "analyze must flag a send Result swallowed via `.ok()`, got {:?}",
-        report.violations
-    );
+    // The blocking send and the non-blocking post both return the
+    // medium's refusal.
+    for call in ["ether.send(reply).ok();", "ether.post(reply).ok();"] {
+        let seeded = format!(
+            "\nfn fire_and_forget(&mut self, ether: &mut Ether, reply: Packet) {{\n    {call}\n}}\n"
+        );
+        let report = xtask::analyze_sources(&[("crates/net/src/mutant.rs", seeded.as_str())]);
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.rule == "error-path-discard"),
+            "analyze must flag `{call}`, a send Result swallowed via `.ok()`, got {:?}",
+            report.violations
+        );
+    }
 }
 
 #[test]
