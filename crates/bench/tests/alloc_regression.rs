@@ -100,8 +100,9 @@ fn pooled_steady_state_paths_allocate_nothing() {
     );
     std::hint::black_box(checksum);
 
-    // Zero-copy batch writes: borrowed data words, in-place label checks,
-    // a visitor that reads the captured label back.
+    // Batch writes from borrowed sources, through the trait's staged
+    // `do_batch_write` (one `do_batch` of pooled requests), with a visitor
+    // that reads the captured label back.
     let data = [0u16; alto_disk::DATA_WORDS];
     for _ in 0..4 {
         pool::recycle_results(drive.do_batch_write(
@@ -133,7 +134,7 @@ fn pooled_steady_state_paths_allocate_nothing() {
     assert_eq!(
         allocs() - before,
         0,
-        "steady-state zero-copy batch writes allocated"
+        "steady-state staged do_batch_write batches allocated"
     );
     std::hint::black_box(checksum);
 

@@ -8,11 +8,13 @@
 //! The drive has one mechanism, the §4 chained command: a per-sector step
 //! (seek, rotational wait, transfer, check-then-act) inside one chain
 //! routine (precheck, command set-up, plan, service in plan order, halt and
-//! replan on failure). [`Disk::do_op`], [`Disk::do_batch`],
-//! [`Disk::do_batch_read`] and [`Disk::do_batch_write`] differ only in how a
-//! request meets its sector: an owned buffer, a lent view, or a borrowed
-//! write source checked in place. With the §3.3 auditor or a fault armed,
-//! every request is staged through a buffer inside the same step.
+//! replan on failure). [`Disk::do_op`], [`Disk::do_batch`] and
+//! [`Disk::do_batch_read`] differ only in how a request meets its sector:
+//! in the caller's buffer, or lent to a visitor as a view. Every write is
+//! staged in a buffer; [`Disk::do_batch_write`] keeps the trait's staged
+//! default, which goes through [`Disk::do_batch`]. With the §3.3 auditor or
+//! a fault armed, every request, a lent read included, goes through a
+//! buffer and [`crate::sector::apply`] inside the same step.
 //!
 //! A chain runs on a local timeline: the drive keeps its instants in the
 //! chain's head and writes no shared clock while it runs. The `Disk`
@@ -37,7 +39,7 @@ use crate::inject::FaultInjector;
 use crate::pack::DiskPack;
 use crate::pool;
 use crate::sched::{self, BatchRequest};
-use crate::sector::{apply, check_part, Action, Sector, SectorBuf, SectorOp};
+use crate::sector::{apply, Action, Sector, SectorBuf, SectorOp};
 use crate::timing::TimingModel;
 use crate::view::{SectorView, WriteSource};
 
@@ -118,18 +120,20 @@ pub trait Disk {
     }
 
     /// Performs a batch of ordinary data writes ([`SectorOp::WRITE`]: header
-    /// and label checked, value written) with borrowed buffers: `source`
-    /// supplies request `i`'s check patterns and a borrow of its data words,
-    /// and `visit` is lent the serviced sector (post-write, so the label a
-    /// passed check captured is exactly what the view shows) at most once
-    /// per request, never for a failed one, with the shared clock at the
-    /// view's instant. The write-side twin of [`Disk::do_batch_read`].
+    /// and label checked, value written): `source` supplies request `i`'s
+    /// check patterns and a borrow of its data words, and `visit` is lent
+    /// the staged buffer (post-write, so the label a passed check captured
+    /// is exactly what the view shows) once per request, never for a failed
+    /// one, in index order after the batch, stamped with its end.
     ///
-    /// The default stages through [`Disk::do_batch`] — bit-identical
-    /// results, timing, stats and traces, just with the 256-word copy in —
-    /// which is also how the composite [`crate::DriveArray`] inherits its
-    /// splitting, header translation and overlapped timelines for free.
-    /// [`DiskDrive`] overrides it with a genuinely zero-copy chain.
+    /// This staged default is the one implementation: it copies each
+    /// request's words into a buffer and issues one [`Disk::do_batch`], so
+    /// results, timing, stats and traces are that batch's, and the
+    /// composite [`crate::DriveArray`] keeps its splitting, header
+    /// translation and overlapped timelines. Nothing in the file system
+    /// calls it — `alto_fs::page::transfer` stages its writes itself — but
+    /// the benchmark's `TimedDisk` forwards it, so the form stays until
+    /// that wrapper stops.
     fn do_batch_write<'a, S, V>(
         &mut self,
         das: &[DiskAddress],
@@ -395,9 +399,10 @@ struct Loaded {
     cylinder: u16,
 }
 
-/// How a request meets its sector: the one thing the batch forms differ
-/// in. The chain routine is generic over it, so each form compiles to its
-/// own loop.
+/// How a request meets its sector: the one thing the request forms differ
+/// in — a batch of owned buffers ([`Disk::do_batch`]), one caller's buffer
+/// ([`Disk::do_op`]) or a lend to a visitor ([`Disk::do_batch_read`]). The
+/// chain routine is generic over it, so each form compiles to its own loop.
 trait Meet {
     /// Request `i`'s address.
     fn da(&self, i: usize) -> DiskAddress;
@@ -406,8 +411,8 @@ trait Meet {
     fn op(&self, i: usize) -> SectorOp;
 
     /// Runs `serve` on request `i` staged in a memory buffer (its own, or
-    /// one loaded from its source), then lends that buffer, stamped `at`,
-    /// to the visitor if `serve` succeeded.
+    /// the lend's scratch buffer), then lends that buffer, stamped `at`, to
+    /// the visitor if `serve` succeeded.
     fn staged(
         &mut self,
         i: usize,
@@ -517,64 +522,6 @@ impl<F: FnMut(usize, SectorView<'_>)> Meet for Lend<'_, F> {
 
     fn lend(&mut self, i: usize, view: SectorView<'_>) {
         (self.visit)(i, view);
-    }
-}
-
-/// [`Disk::do_batch_write`]: `WRITE` from borrowed sources. In place, the
-/// header and label patterns are matched against the platter words and the
-/// borrowed data lands only when both pass. A passed check's captured label
-/// is bit-identical to the sector's own (every non-wildcard word matched,
-/// every wildcard captured the disk word), so the lent post-write sector
-/// shows exactly what a staged buffer would.
-struct Borrowed<'d, S, V> {
-    source: S,
-    lend: Lend<'d, V>,
-}
-
-impl<'a, S, V> Meet for Borrowed<'_, S, V>
-where
-    S: FnMut(usize) -> WriteSource<'a>,
-    V: FnMut(usize, SectorView<'_>),
-{
-    fn da(&self, i: usize) -> DiskAddress {
-        self.lend.da(i)
-    }
-
-    fn op(&self, _: usize) -> SectorOp {
-        SectorOp::WRITE
-    }
-
-    fn staged(
-        &mut self,
-        i: usize,
-        at: SimTime,
-        serve: impl FnOnce(&mut SectorBuf) -> Result<(), DiskError>,
-    ) -> Result<(), DiskError> {
-        let ws = (self.source)(i);
-        let buf = &mut self.lend.buf;
-        buf.header = ws.header;
-        buf.label = ws.label;
-        buf.data = *ws.data;
-        self.lend.staged(i, at, serve)
-    }
-
-    fn in_place(
-        &mut self,
-        i: usize,
-        da: DiskAddress,
-        sector: &mut Sector,
-    ) -> Result<(), DiskError> {
-        let ws = (self.source)(i);
-        let (mut header, mut label) = (ws.header, ws.label);
-        check_part(&sector.header, &mut header, da, SectorPart::Header)
-            .and_then(|()| check_part(&sector.label, &mut label, da, SectorPart::Label))
-            .map_err(DiskError::Check)?;
-        sector.data = *ws.data;
-        Ok(())
-    }
-
-    fn lend(&mut self, i: usize, view: SectorView<'_>) {
-        self.lend.lend(i, view);
     }
 }
 
@@ -1134,38 +1081,6 @@ impl Disk for DiskDrive {
             clock.advance_to(view.at());
             visit(i, view);
         });
-        clock.advance_to(end);
-        results
-    }
-
-    /// The chain with each `WRITE` checked in place against the platter and
-    /// its data words taken straight from `source`'s borrow. Visits run in
-    /// service order, each with the shared clock moved forward to its
-    /// sector's instant. With the auditor or a fault armed, each request is
-    /// staged through a buffer instead and the view shows that buffer.
-    fn do_batch_write<'a, S, V>(
-        &mut self,
-        das: &[DiskAddress],
-        source: S,
-        mut visit: V,
-    ) -> Vec<Result<(), DiskError>>
-    where
-        S: FnMut(usize) -> WriteSource<'a>,
-        V: FnMut(usize, SectorView<'_>),
-    {
-        let clock = self.clock.clone();
-        let mut borrowed = Borrowed {
-            source,
-            lend: Lend {
-                das,
-                visit: |i, view: SectorView<'_>| {
-                    clock.advance_to(view.at());
-                    visit(i, view);
-                },
-                buf: SectorBuf::zeroed(),
-            },
-        };
-        let (results, end) = self.chain(clock.now(), das.len(), &mut borrowed);
         clock.advance_to(end);
         results
     }
@@ -1753,10 +1668,12 @@ mod tests {
         assert!(results[2].is_ok());
     }
 
-    /// `do_batch_write` must be `do_batch`-with-`WRITE` in every observable
-    /// way except the staging copy: same simulated elapsed time, same stats,
+    /// Pins the trait's staged `do_batch_write`, the contract the
+    /// benchmark's `TimedDisk` forwards: it must be `do_batch`-with-`WRITE`
+    /// in every observable way — same simulated elapsed time, same stats,
     /// same results (including mid-batch check failures and the
-    /// halt-and-replan that follows them), same trace, same platter words.
+    /// halt-and-replan that follows them), same trace, same platter words —
+    /// and lend each written sector once.
     #[test]
     fn batch_write_views_match_buffered_batch_exactly() {
         let das: Vec<DiskAddress> = (0..300).map(DiskAddress).collect();
@@ -1830,9 +1747,9 @@ mod tests {
         }
     }
 
-    /// With the auditor attached the view write stages every request
-    /// through a buffer — timing and stats must still match `do_batch`, and
-    /// the auditor must observe a §3.3-clean run.
+    /// The trait's staged `do_batch_write` with the auditor attached, the
+    /// contract `TimedDisk` forwards: timing and stats must still match
+    /// `do_batch`, and the auditor must observe a §3.3-clean run.
     #[test]
     fn batch_write_views_under_audit_match_and_stay_clean() {
         let das: Vec<DiskAddress> = (0..100).map(DiskAddress).collect();
@@ -1880,9 +1797,10 @@ mod tests {
         assert!(auditor.violations().is_empty());
     }
 
-    /// An armed fault injector stages every request through a buffer: the
-    /// injected fault's semantics (here a silently dropped write) must land
-    /// exactly as they do on the `do_batch` path.
+    /// The trait's staged `do_batch_write` with a fault injector armed, the
+    /// contract `TimedDisk` forwards: the injected fault's semantics (here
+    /// a silently dropped write) must land exactly as they do on the
+    /// `do_batch` path.
     #[test]
     fn batch_write_views_with_armed_injector_match_buffered() {
         let das: Vec<DiskAddress> = (0..20).map(DiskAddress).collect();
@@ -1943,8 +1861,9 @@ mod tests {
         );
     }
 
-    /// Malformed addresses are rejected up front and never written or
-    /// visited, like `do_batch`'s prechecks.
+    /// The trait's staged `do_batch_write`, the contract `TimedDisk`
+    /// forwards, rejects malformed addresses up front and never writes or
+    /// visits them, like `do_batch`'s prechecks.
     #[test]
     fn batch_write_prechecks_out_of_range_addresses() {
         let mut d = drive();

@@ -36,12 +36,13 @@
 //! ablation twin for measuring exactly what chaining buys.
 //!
 //! [`DiskDrive`] runs every request form — a single [`Disk::do_op`], a
-//! buffered [`Disk::do_batch`], the zero-copy [`Disk::do_batch_read`] and
-//! [`Disk::do_batch_write`] — through one chained-command engine, so they
-//! differ only in how a request meets its sector. [`DriveArray`] splits a
-//! batch across independent arms whose simulated timelines overlap — two
-//! Range arms are the paper's two-drive system (§2); everything runs on
-//! the caller's thread.
+//! buffered [`Disk::do_batch`] and the zero-copy [`Disk::do_batch_read`] —
+//! through one chained-command engine, so they differ only in how a request
+//! meets its sector. Writes are always staged in a buffer: the trait's
+//! [`Disk::do_batch_write`] copies its sources into one [`Disk::do_batch`].
+//! [`DriveArray`] splits a batch across independent arms whose simulated
+//! timelines overlap — two Range arms are the paper's two-drive system
+//! (§2); everything runs on the caller's thread.
 //!
 //! Packs are removable and serializable ([`DiskPack::to_image`]), so file
 //! systems survive across simulated machines — the openness property the
@@ -82,4 +83,4 @@ pub use pack::{DiskPack, PackImageError};
 pub use sched::BatchRequest;
 pub use sector::{Action, Sector, SectorBuf, SectorOp, DATA_WORDS};
 pub use timing::TimingModel;
-pub use view::{LabelView, SectorBufView, SectorView, WriteSource, SECTOR_WORDS};
+pub use view::{LabelView, SectorView, WriteSource, SECTOR_WORDS};

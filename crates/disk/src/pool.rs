@@ -7,10 +7,12 @@
 //! the wall-clock profile (see `docs/PERFORMANCE.md`), so the drives take
 //! result vectors from a small thread-local free list, and callers hand
 //! them back with [`recycle_results`] once consumed. The staged defaults of
-//! [`crate::Disk`] and the free functions of `alto_fs::page`, which own no
-//! state between calls, take their request and address vectors from the
-//! same lists. In the steady state every list has a warm vector with grown
-//! capacity, so a read or write costs zero heap allocations.
+//! [`crate::Disk`] — `do_batch_write`, the one every disk uses, and the
+//! `do_batch_read` of a disk with no lending chain — and the free functions
+//! of `alto_fs::page`, which own no state between calls, take their request
+//! and address vectors from the same lists. In the steady state every list
+//! has a warm vector with grown capacity, so a read or write costs zero
+//! heap allocations.
 //!
 //! Pooling is a *host-side* optimization: it never touches the simulated
 //! clock, the trace contents, or §3.3 semantics — recycled vectors are

@@ -199,9 +199,8 @@ impl SectorOp {
 }
 
 /// The check action alone, against an immutably borrowed disk part — the
-/// §3.3 wildcard pattern match shared by [`apply`] and the zero-copy write
-/// path, which checks header and label in place before touching the value.
-pub(crate) fn check_part(
+/// §3.3 wildcard pattern match.
+fn check_part(
     disk: &[u16],
     mem: &mut [u16],
     da: DiskAddress,

@@ -183,12 +183,10 @@ impl<'a> SectorView<'a> {
     }
 }
 
-/// One write's memory-side words for the zero-copy batch write path
-/// ([`crate::Disk::do_batch_write`]): the header and label patterns the
-/// §3.3 check matches against the sector (owned — they are two and seven
-/// words), and the data to write, borrowed from wherever the caller parks
-/// dirty pages so the 256 words are never staged through an intermediate
-/// buffer.
+/// One write's memory-side words for [`crate::Disk::do_batch_write`]: the
+/// header and label patterns the §3.3 check matches against the sector, and
+/// a borrow of the data to write. The trait's staged default copies all
+/// three into a buffer per request and issues one [`crate::Disk::do_batch`].
 #[derive(Debug, Clone, Copy)]
 pub struct WriteSource<'a> {
     /// Check pattern for the header words (`[pack_number, disk_address]`;
@@ -198,34 +196,6 @@ pub struct WriteSource<'a> {
     pub label: [u16; LABEL_WORDS],
     /// The data words to write once both checks pass.
     pub data: &'a [u16; DATA_WORDS],
-}
-
-/// A borrowed, typed view of a memory-side sector buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct SectorBufView<'a> {
-    buf: &'a SectorBuf,
-}
-
-impl<'a> SectorBufView<'a> {
-    /// Views the given buffer.
-    pub fn new(buf: &'a SectorBuf) -> SectorBufView<'a> {
-        SectorBufView { buf }
-    }
-
-    /// The header words.
-    pub fn header(&self) -> &'a [u16; HEADER_WORDS] {
-        &self.buf.header
-    }
-
-    /// A typed view of the label words.
-    pub fn label(&self) -> LabelView<'a> {
-        LabelView::new(&self.buf.label)
-    }
-
-    /// The data words.
-    pub fn data(&self) -> &'a [u16; DATA_WORDS] {
-        &self.buf.data
-    }
 }
 
 impl Sector {
@@ -308,7 +278,7 @@ mod tests {
         let mut b = SectorBuf::with_label(sample());
         b.header = [7, 42];
         b.data[1] = 0x5151;
-        let bv = SectorBufView::new(&b);
+        let bv = SectorView::of_buf(&b);
         assert_eq!(bv.header(), &[7, 42]);
         assert!(bv.label().is_in_use());
         assert_eq!(bv.data()[1], 0x5151);

@@ -1,9 +1,11 @@
 //! The §3.3 auditor only watches. Arming it must not change what a batch
 //! does — elapsed time, results, delivered words, trace events — even when
-//! the visitor of a zero-copy batch spends time on the shared clock, as a
-//! blocking send on the Ether from inside a visit would. (The page server
-//! posts its replies, so its visits no longer move the clock; this file
-//! keeps the case.)
+//! the visitor of a batch spends time on the shared clock, as a blocking
+//! send on the Ether from inside a visit would. (The page server posts its
+//! replies, so its visits no longer move the clock; this file keeps the
+//! case.) The write batch goes through the trait's staged `do_batch_write`,
+//! whose visits come after the batch; the read batch lends each sector at
+//! its instant.
 
 use alto_disk::{
     Disk, DiskAddress, DiskDrive, DiskError, DiskModel, DriveArray, Placement, WriteSource,

@@ -65,8 +65,6 @@ struct DirIndex {
     leader_da: DiskAddress,
     /// [`Disk::write_epoch`](alto_disk::Disk::write_epoch) at snapshot time.
     epoch: u64,
-    /// The per-directory epoch at snapshot time (see [`HintCache::bump_dir`]).
-    generation: u64,
     entries: Vec<DirEntry>,
     /// Casefolded name → index of the *first* matching entry (directories
     /// may hold duplicates after adoption; lookup returns the first).
@@ -87,9 +85,6 @@ struct CachedLeader {
 pub(crate) struct HintCache {
     enabled: bool,
     dirs: BTreeMap<Fv, DirIndex>,
-    /// Per-directory epochs, bumped on every insert/remove/rewrite through
-    /// the directory package; they outlive the snapshots they invalidate.
-    generations: BTreeMap<Fv, u64>,
     leaders: BTreeMap<Fv, CachedLeader>,
     pub(crate) stats: CacheStats,
 }
@@ -99,7 +94,6 @@ impl HintCache {
         HintCache {
             enabled: true,
             dirs: BTreeMap::new(),
-            generations: BTreeMap::new(),
             leaders: BTreeMap::new(),
             stats: CacheStats::default(),
         }
@@ -118,30 +112,14 @@ impl HintCache {
         }
     }
 
-    fn generation(&self, dir: Fv) -> u64 {
-        self.generations.get(&dir).copied().unwrap_or(0)
-    }
-
-    /// Bumps the per-directory epoch, retiring any snapshot of `dir`.
-    pub(crate) fn bump_dir(&mut self, dir: Fv) {
-        *self.generations.entry(dir).or_insert(0) += 1;
-        if self.dirs.remove(&dir).is_some() {
-            self.stats.invalidations += 1;
-        }
-    }
-
     /// The fresh entries of `dir`, or None. A snapshot taken at another
-    /// write epoch, another directory generation, or through another
-    /// leader address is retired on sight.
+    /// write epoch or through another leader address is retired on sight.
     pub(crate) fn dir_entries(&mut self, dir: FileFullName, epoch: u64) -> Option<&[DirEntry]> {
         if !self.enabled {
             return None;
         }
-        let generation = self.generation(dir.fv);
         let fresh = match self.dirs.get(&dir.fv) {
-            Some(idx) => {
-                idx.epoch == epoch && idx.generation == generation && idx.leader_da == dir.leader_da
-            }
+            Some(idx) => idx.epoch == epoch && idx.leader_da == dir.leader_da,
             None => return None,
         };
         if !fresh {
@@ -178,20 +156,19 @@ impl HintCache {
         for (i, e) in entries.iter().enumerate() {
             by_name.entry(casefold(&e.name)).or_insert(i);
         }
-        let generation = self.generation(dir.fv);
         self.dirs.insert(
             dir.fv,
             DirIndex {
                 leader_da: dir.leader_da,
                 epoch,
-                generation,
                 entries,
                 by_name,
             },
         );
     }
 
-    /// Drops the snapshot of `dir` (a verification failure found it lying).
+    /// Drops the snapshot of `dir`: a verification failure found it lying,
+    /// or the directory package just rewrote the directory.
     pub(crate) fn drop_dir(&mut self, dir: Fv) {
         if self.dirs.remove(&dir).is_some() {
             self.stats.invalidations += 1;

@@ -268,7 +268,7 @@ impl<D: Disk> FileSystem<D> {
     /// now exactly `entries`: retires the old snapshot and installs the new
     /// one, keeping the index warm across its own mutations.
     pub(crate) fn dir_rewritten(&mut self, dir: FileFullName, entries: Vec<DirEntry>) {
-        self.cache.bump_dir(dir.fv);
+        self.cache.drop_dir(dir.fv);
         if self.cache.enabled() {
             let epoch = self.disk.write_epoch();
             self.cache.install_dir(dir, epoch, entries);

@@ -28,11 +28,14 @@
 //!   serves whole-file reads and rewrites, the boot loader and the disk
 //!   stream's readahead and write-behind; [`confirmed_run`] tells a reader
 //!   how much of a guessed read to trust, and [`confirmed_write_run`]
-//!   tells a writer how much of a guessed write.
+//!   tells a writer how much of a guessed write. Every write to the drive
+//!   that carries a file page's data in a chain goes through it, staged in
+//!   a buffer: one [`Disk::do_batch`] per call.
 //! * [`read_raw_batch`] scans raw sectors, with no name to check them
 //!   against — the Scavenger's sweep.
 //! * [`read_pages_zero_copy`] lends named pages of many files to a visitor
-//!   — the page server's hot path.
+//!   — the page server's hot path, and the one form that borrows sectors
+//!   instead of staging them ([`Disk::do_batch_read`]).
 //!
 //! All of them retry a transient failure sector-at-a-time under
 //! [`retry_op`]'s bounded discipline, except a guessed follower in
@@ -41,8 +44,8 @@
 //! leaves the page unread.
 
 use alto_disk::{
-    pool, BatchRequest, CheckFailure, Disk, DiskAddress, DiskError, Label, SectorBuf, SectorOp,
-    SectorPart, SectorView, WriteSource, DATA_WORDS,
+    pool, BatchRequest, CheckFailure, Disk, DiskAddress, DiskError, Label, LabelView, SectorBuf,
+    SectorOp, SectorPart, SectorView, DATA_WORDS,
 };
 
 use crate::errors::FsError;
@@ -73,36 +76,21 @@ fn verify_absolutes(da: DiskAddress, fv: Fv, page: u16, got: &Label) -> Result<(
 }
 
 /// Captures and verifies the label of a checked access in one step: the
-/// absolutes are compared in place through [`alto_disk::LabelView`] (no
-/// decode on the matching path, which is the steady state); a mismatch
-/// falls back to [`verify_absolutes`] so the error is exactly the one the
-/// hardware check would have produced.
-fn verified_label(da: DiskAddress, fv: Fv, page: u16, buf: &SectorBuf) -> Result<Label, FsError> {
-    let intended = fv.check_label(page);
-    let view = buf.label_view();
-    if view.absolutes_match(&intended) {
-        return Ok(view.decode());
-    }
-    let got = view.decode();
-    verify_absolutes(da, fv, page, &got)?;
-    Ok(got)
-}
-
-/// [`verified_label`] over a lent [`SectorView`] — the zero-copy batch
-/// paths verify straight off the borrowed sector words, with no staging
-/// buffer to point at.
-fn verified_label_view(
+/// absolutes are compared in place through a [`LabelView`] — of a staged
+/// buffer or of a sector the disk lent — before anything is decoded; a
+/// mismatch falls back to [`verify_absolutes`] so the error is exactly the
+/// one the hardware check would have produced.
+fn verified_label(
     da: DiskAddress,
     fv: Fv,
     page: u16,
-    view: SectorView<'_>,
+    label: LabelView<'_>,
 ) -> Result<Label, FsError> {
     let intended = fv.check_label(page);
-    let lv = view.label();
-    if lv.absolutes_match(&intended) {
-        return Ok(lv.decode());
+    if label.absolutes_match(&intended) {
+        return Ok(label.decode());
     }
-    let got = lv.decode();
+    let got = label.decode();
     verify_absolutes(da, fv, page, &got)?;
     Ok(got)
 }
@@ -183,7 +171,7 @@ pub fn read_page<D: Disk>(
 ) -> Result<(Label, [u16; DATA_WORDS]), FsError> {
     let mut buf = checked_buf(disk, pn)?;
     retry_op(disk, pn.da, SectorOp::READ, &mut buf)?;
-    let label = verified_label(pn.da, pn.fv, pn.page, &buf)?;
+    let label = verified_label(pn.da, pn.fv, pn.page, buf.label_view())?;
     Ok((label, buf.data))
 }
 
@@ -234,7 +222,7 @@ pub fn write_page<D: Disk>(
     let mut buf = checked_buf(disk, pn)?;
     buf.data = *data;
     retry_op(disk, pn.da, SectorOp::WRITE, &mut buf)?;
-    verified_label(pn.da, pn.fv, pn.page, &buf)
+    verified_label(pn.da, pn.fv, pn.page, buf.label_view())
 }
 
 /// Reads the raw header, label and data of an arbitrary sector with no
@@ -323,7 +311,7 @@ pub fn read_pages_zero_copy<D, V>(
     out.resize_with(reads.len(), || Err(FsError::Disk(DiskError::NoPack)));
     let results = disk.do_batch_read(&das, |i, view| {
         let r = &reads[i];
-        out[i] = verified_label_view(r.da, r.fv, r.page, view).inspect(|&label| {
+        out[i] = verified_label(r.da, r.fv, r.page, view.label()).inspect(|&label| {
             visit(i, label, view);
         });
     });
@@ -336,8 +324,7 @@ pub fn read_pages_zero_copy<D, V>(
                 out[i] = complete_with_retry(disk, r.da, SectorOp::READ_ALL, &mut buf, *e)
                     .map_err(FsError::from)
                     .and_then(|()| {
-                        let label =
-                            verified_label_view(r.da, r.fv, r.page, SectorView::of_buf(&buf))?;
+                        let label = verified_label(r.da, r.fv, r.page, buf.label_view())?;
                         visit(i, label, SectorView::of_buf(&buf));
                         Ok(label)
                     });
@@ -371,9 +358,9 @@ pub fn read_pages_zero_copy<D, V>(
 /// Clears `write_out` and fills it with the writes' captured labels, in
 /// `writes` order, and clears `read_out` and fills it with the reads'
 /// results, in page order, so a caller can reuse the same vectors batch
-/// after batch. A batch with no reads lends each page's data words to the
-/// drive in place ([`Disk::do_batch_write`]); one with reads stages every
-/// member through a buffer ([`Disk::do_batch`]).
+/// after batch. Every member, write or read, is staged through a buffer
+/// and the whole batch is one [`Disk::do_batch`], whichever directions it
+/// carries.
 ///
 /// A write address may be a guess too, as long as the check has teeth: a
 /// file serial low word of 0 is a check wildcard, so callers guess write
@@ -392,9 +379,6 @@ pub fn transfer<D: Disk>(
     write_out.clear();
     read_out.clear();
     let pack = disk.pack_number()?;
-    let Some(start) = read_start.filter(|_| read_count > 0) else {
-        return write_zero_copy(disk, fv, pack, writes, write_out);
-    };
     let mut batch = pool::batch_vec();
     for &(page, da, ref data) in writes {
         let mut buf = SectorBuf::with_label(fv.check_label(page));
@@ -402,11 +386,13 @@ pub fn transfer<D: Disk>(
         buf.data = *data;
         batch.push(BatchRequest::new(da, SectorOp::WRITE, buf));
     }
-    for j in 0..read_count {
-        let da = DiskAddress(start.da.0.wrapping_add(j));
-        let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
-        buf.header = [pack, da.0];
-        batch.push(BatchRequest::new(da, SectorOp::READ, buf));
+    if let Some(start) = read_start {
+        for j in 0..read_count {
+            let da = DiskAddress(start.da.0.wrapping_add(j));
+            let mut buf = SectorBuf::with_label(fv.check_label(start.page + j));
+            buf.header = [pack, da.0];
+            batch.push(BatchRequest::new(da, SectorOp::READ, buf));
+        }
     }
     let mut results = disk.do_batch(&mut batch);
     for (req, res) in batch
@@ -418,79 +404,24 @@ pub fn transfer<D: Disk>(
             *res = complete_with_retry(disk, req.da, req.op, &mut req.buf, e);
         }
     }
-    let mut members = results.drain(..).zip(batch.drain(..));
-    for (&(page, da, _), (res, req)) in writes.iter().zip(members.by_ref()) {
+    // Read in place: draining would move every request out of the batch.
+    let mut members = results.iter().zip(&batch);
+    for (&(page, ..), (&res, req)) in writes.iter().zip(members.by_ref()) {
         write_out.push(
             res.map_err(FsError::from)
-                .and_then(|()| verified_label(da, fv, page, &req.buf)),
+                .and_then(|()| verified_label(req.da, fv, page, req.buf.label_view())),
         );
     }
-    for (j, (res, req)) in (0..read_count).zip(members) {
-        let da = DiskAddress(start.da.0.wrapping_add(j));
-        read_out.push(res.map_err(FsError::from).and_then(|()| {
-            let label = verified_label(da, fv, start.page + j, &req.buf)?;
-            Ok((label, req.buf.data))
-        }));
+    if let Some(start) = read_start {
+        for (j, (&res, req)) in (0..read_count).zip(members) {
+            read_out.push(res.map_err(FsError::from).and_then(|()| {
+                let label = verified_label(req.da, fv, start.page + j, req.buf.label_view())?;
+                Ok((label, req.buf.data))
+            }));
+        }
     }
     pool::recycle_results(results);
     pool::recycle_batch(batch);
-    Ok(())
-}
-
-/// [`transfer`] with no reads, via [`Disk::do_batch_write`]: the same
-/// chained schedule, §3.3 checks and retry rule, but the data words are
-/// borrowed from `writes` instead of being staged through per-request
-/// buffers, and each captured label is verified through the lent
-/// [`SectorView`].
-fn write_zero_copy<D: Disk>(
-    disk: &mut D,
-    fv: Fv,
-    pack: u16,
-    writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
-    write_out: &mut Vec<Result<Label, FsError>>,
-) -> Result<(), FsError> {
-    let mut das = pool::da_vec();
-    das.extend(writes.iter().map(|&(_, da, _)| da));
-    // Placeholders only: every slot is overwritten — visited (successful)
-    // requests from the visitor, failed ones from the result loop below.
-    write_out.extend(writes.iter().map(|_| Err(FsError::Disk(DiskError::NoPack))));
-    let mut results = disk.do_batch_write(
-        &das,
-        |i| {
-            let (page, da, data) = &writes[i];
-            WriteSource {
-                header: [pack, da.0],
-                label: fv.check_label(*page).encode(),
-                data,
-            }
-        },
-        |i, view| {
-            let (page, da, _) = writes[i];
-            write_out[i] = verified_label_view(da, fv, page, view);
-        },
-    );
-    for (i, res) in results.iter_mut().enumerate() {
-        if let Err(e @ DiskError::Transient { .. }) = *res {
-            // The retry re-issues through the buffered single-sector path —
-            // cold by construction, so staging one buffer costs nothing
-            // that matters.
-            let (page, da, data) = &writes[i];
-            let mut buf = SectorBuf::with_label(fv.check_label(*page));
-            buf.header = [pack, da.0];
-            buf.data = *data;
-            *res = complete_with_retry(disk, *da, SectorOp::WRITE, &mut buf, e);
-            if res.is_ok() {
-                write_out[i] = verified_label(*da, fv, *page, &buf);
-            }
-        }
-    }
-    for (i, res) in results.drain(..).enumerate() {
-        if let Err(e) = res {
-            write_out[i] = Err(FsError::from(e));
-        }
-    }
-    pool::recycle_results(results);
-    pool::recycle_das(das);
     Ok(())
 }
 
@@ -858,12 +789,13 @@ mod tests {
     }
 
     #[test]
-    fn pure_drain_is_zero_copy_and_matches_the_audited_fallback() {
-        // A drain with no prefetch takes the borrowed-buffer write path.
-        // Run it twin against a drive with the §3.3 auditor attached (which
-        // forces the buffered fallback inside `do_batch_write`): outcomes,
-        // platter words and simulated elapsed time must be identical, and
-        // the audited run must observe a clean §3.3 protocol.
+    fn pure_drain_is_one_staged_batch_and_matches_the_audited_run() {
+        // A drain with no prefetch is one staged `do_batch` of writes, like
+        // any other transfer. Run it twin against a drive with the §3.3
+        // auditor attached (which mirrors each buffered op in the drive's
+        // step): outcomes, platter words and simulated elapsed time must be
+        // identical, and the audited run must observe a clean §3.3
+        // protocol.
         let run = |audit: bool| {
             let mut d = drive();
             for i in 0..3u16 {

@@ -293,51 +293,27 @@ impl PageServer {
         }
         self.inbox = inbox;
 
+        let ServerStats {
+            batches,
+            served,
+            send_failures,
+            ..
+        } = &mut self.stats;
+        let (pending, host, socket) = (&self.pending, self.host, self.socket);
+        let mut deliver = |tag: u32, data: &[u16; DATA_WORDS]| {
+            *served += 1;
+            let to = pending[tag as usize];
+            send_page_reply(ether, host, socket, to, data, send_failures);
+        };
         if self.batching {
             if !self.reads.is_empty() {
-                self.stats.batches += 1;
-                let ServerStats {
-                    served,
-                    send_failures,
-                    ..
-                } = &mut self.stats;
-                let pending = &self.pending;
-                let host = self.host;
-                let socket = self.socket;
-                store.serve(&self.reads, &mut self.failed, |tag, data| {
-                    *served += 1;
-                    send_page_reply(
-                        ether,
-                        host,
-                        socket,
-                        pending[tag as usize],
-                        data,
-                        send_failures,
-                    );
-                });
+                *batches += 1;
+                store.serve(&self.reads, &mut self.failed, &mut deliver);
             }
         } else {
-            for i in 0..self.reads.len() {
-                self.stats.batches += 1;
-                let ServerStats {
-                    served,
-                    send_failures,
-                    ..
-                } = &mut self.stats;
-                let pending = &self.pending;
-                let host = self.host;
-                let socket = self.socket;
-                store.serve_one(self.reads[i], &mut self.failed, |tag, data| {
-                    *served += 1;
-                    send_page_reply(
-                        ether,
-                        host,
-                        socket,
-                        pending[tag as usize],
-                        data,
-                        send_failures,
-                    );
-                });
+            for &req in &self.reads {
+                *batches += 1;
+                store.serve_one(req, &mut self.failed, &mut deliver);
             }
         }
         for k in 0..self.failed.len() {

@@ -25,7 +25,7 @@ use std::collections::HashSet;
 
 use crate::callgraph::{CallGraph, CallSite};
 use crate::model::{find_word, SourceFile};
-use crate::rules::{apply_allows, covered_line, Report, Violation};
+use crate::rules::{apply_allows, covered_line, Report, Violation, RAW_DISK_OPS};
 
 pub const ANALYZE_RULE_IDS: [&str; 6] = [
     "raw-disk-op-transitive",
@@ -148,7 +148,6 @@ fn flag_reaching(
 /// that *reaches* one through calls. Sanctioned sinks: `fs/src/page.rs` (the
 /// retry wrappers) and direct sites carrying a `raw-disk-op` allow.
 fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec<Violation>) {
-    const RAW_PATTERNS: [&str; 3] = [".do_op(", ".do_batch(", "SectorOp {"];
     let mut sources = Vec::new();
     for (id, node) in graph.nodes.iter().enumerate() {
         let file = &files[node.file];
@@ -162,7 +161,7 @@ fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec
             l.number >= node.start_line
                 && l.number <= node.end_line
                 && graph.node_at(node.file, l.number) == Some(id)
-                && RAW_PATTERNS.iter().any(|p| l.code.contains(p))
+                && RAW_DISK_OPS.iter().any(|p| l.code.contains(p))
                 && !line_is_allowed(file, l.number, "raw-disk-op")
         });
         if tainted {
@@ -190,11 +189,13 @@ fn raw_disk_op_transitive(files: &[SourceFile], graph: &CallGraph, out: &mut Vec
 }
 
 /// Error sources whose `Result` carries a `DiskError` or a net send status.
-const ERROR_SOURCES: [&str; 14] = [
+const ERROR_SOURCES: [&str; 16] = [
     ".send(",
     ".post(",
     ".do_op(",
     ".do_batch(",
+    ".do_batch_read(",
+    ".do_batch_write(",
     "read_page(",
     "write_page(",
     "free_page(",

@@ -205,10 +205,21 @@ fn production_lines(file: &SourceFile) -> impl Iterator<Item = &crate::lexer::Li
         .filter(move |l| !in_test_tree && !file.is_test_line(l.number))
 }
 
+/// The raw sector-op spellings `raw-disk-op` and its transitive twin look
+/// for: every `Disk` request form, and a hand-built operation.
+pub(crate) const RAW_DISK_OPS: [&str; 5] = [
+    ".do_op(",
+    ".do_batch(",
+    ".do_batch_read(",
+    ".do_batch_write(",
+    "SectorOp {",
+];
+
 /// `raw-disk-op`: in `crates/fs` and `crates/streams`, sector operations must
-/// go through the `fs::page` retry wrappers. Direct `.do_op(` / `.do_batch(`
-/// calls and literal `SectorOp { .. }` construction are confined to
-/// `fs/src/page.rs` (the wrapper module itself).
+/// go through the `fs::page` retry wrappers. Direct `.do_op(` /
+/// `.do_batch(` / `.do_batch_read(` / `.do_batch_write(` calls and literal
+/// `SectorOp { .. }` construction are confined to `fs/src/page.rs` (the
+/// wrapper module itself).
 fn raw_disk_op(file: &SourceFile, out: &mut Vec<Violation>) {
     if !in_crates(file, &["crates/fs", "crates/streams"]) {
         return;
@@ -217,7 +228,7 @@ fn raw_disk_op(file: &SourceFile, out: &mut Vec<Violation>) {
         return;
     }
     for line in production_lines(file) {
-        for pat in [".do_op(", ".do_batch(", "SectorOp {"] {
+        for pat in RAW_DISK_OPS {
             if line.code.contains(pat) {
                 out.push(Violation {
                     rule: "raw-disk-op",

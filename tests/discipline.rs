@@ -65,17 +65,37 @@ fn runtime_catches_write_without_check() {
 
 #[test]
 fn static_catches_raw_disk_op() {
-    let seeded = r#"
+    let smuggled_write = r#"
 fn smuggle_a_write(&mut self, da: DiskAddress, buf: &mut SectorBuf) {
     self.disk.do_op(da, SectorOp::WRITE, buf).ok();
 }
 "#;
-    let report = xtask::lint_sources(&[("crates/fs/src/mutant.rs", seeded)]);
-    assert!(
-        report.violations.iter().any(|v| v.rule == "raw-disk-op"),
-        "lint must flag a raw do_op outside fs::page, got {:?}",
-        report.violations
-    );
+    // The lending read and the staged write forms, called straight from a
+    // stream: neither spelling contains `.do_batch(`.
+    let lent_read = r#"
+fn peek_pages(&mut self, das: &[DiskAddress]) -> usize {
+    let mut seen = 0;
+    self.disk.do_batch_read(das, |_, _| seen += 1);
+    seen
+}
+"#;
+    let sourced_write = r#"
+fn flush_pages(&mut self, das: &[DiskAddress]) {
+    self.disk.do_batch_write(das, |i| self.sources[i], |_, _| {});
+}
+"#;
+    for (path, seeded) in [
+        ("crates/fs/src/mutant.rs", smuggled_write),
+        ("crates/streams/src/mutant.rs", lent_read),
+        ("crates/streams/src/mutant.rs", sourced_write),
+    ] {
+        let report = xtask::lint_sources(&[(path, seeded)]);
+        assert!(
+            report.violations.iter().any(|v| v.rule == "raw-disk-op"),
+            "lint must flag a raw disk request outside fs::page in {seeded}, got {:?}",
+            report.violations
+        );
+    }
 }
 
 // --- Mutation 2: a hint trusted without re-verification. ---
@@ -287,7 +307,7 @@ fn workspace_tree_passes_the_lint() {
 fn analyze_catches_raw_op_reached_through_a_helper() {
     // The helper contains the raw op; the caller never mentions do_op at
     // all, so only the call-graph pass can see that it reaches one.
-    let seeded = r#"
+    let through_do_op = r#"
 fn helper_with_raw_op(&mut self, da: DiskAddress, buf: &mut SectorBuf) {
     self.disk.do_op(da, SectorOp::WRITE, buf).expect("write");
 }
@@ -297,14 +317,28 @@ fn innocent_looking_caller(&mut self, da: DiskAddress) {
     self.helper_with_raw_op(da, &mut buf);
 }
 "#;
-    let report = xtask::analyze_sources(&[("crates/fs/src/mutant.rs", seeded)]);
-    assert!(
-        report.violations.iter().any(|v| {
-            v.rule == "raw-disk-op-transitive" && v.message.contains("innocent_looking_caller")
-        }),
-        "analyze must flag the caller that reaches a raw op indirectly, got {:?}",
-        report.violations
-    );
+    // The same shape through the lending read form.
+    let through_lent_read = r#"
+fn helper_with_raw_op(&mut self, das: &[DiskAddress]) -> usize {
+    let mut seen = 0;
+    self.disk.do_batch_read(das, |_, _| seen += 1);
+    seen
+}
+
+fn innocent_looking_caller(&mut self, da: DiskAddress) -> usize {
+    self.helper_with_raw_op(&[da])
+}
+"#;
+    for seeded in [through_do_op, through_lent_read] {
+        let report = xtask::analyze_sources(&[("crates/fs/src/mutant.rs", seeded)]);
+        assert!(
+            report.violations.iter().any(|v| {
+                v.rule == "raw-disk-op-transitive" && v.message.contains("innocent_looking_caller")
+            }),
+            "analyze must flag the caller that reaches a raw op indirectly in {seeded}, got {:?}",
+            report.violations
+        );
+    }
 }
 
 #[test]
@@ -334,10 +368,17 @@ fn forgetful_seek(&mut self, fs: &mut FileSystem<D>, from: PageName) {
     let _ = follow(fs.disk_mut(), from, |_, _, _| false);
 }
 "#;
+    // A staged batch write's per-request results, dropped whole.
+    let forgetful_batch = r#"
+fn forgetful_batch(&mut self, das: &[DiskAddress]) {
+    let _ = self.disk.do_batch_write(das, |i| self.sources[i], |_, _| {});
+}
+"#;
     for (path, seeded) in [
         ("crates/fs/src/mutant.rs", forgetful_flush),
         ("crates/streams/src/mutant.rs", forgetful_drain),
         ("crates/streams/src/mutant.rs", forgetful_seek),
+        ("crates/fs/src/mutant.rs", forgetful_batch),
     ] {
         let report = xtask::analyze_sources(&[(path, seeded)]);
         assert!(
