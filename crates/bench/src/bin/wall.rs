@@ -20,8 +20,14 @@
 //! layer, and a page moved for the stream rows: a stream call that does
 //! its work in fewer sector operations should read as faster, not slower.
 //! Each row names its op. Every workload runs the shipping configuration
-//! with program tracing gated off. The emitted JSON holds one trajectory
-//! point. See `docs/PERFORMANCE.md`.
+//! with program tracing gated off.
+//!
+//! A row's measured time (`--ms`) is split into five windows after one
+//! untimed warm-up call, and each window's ops per host second is kept:
+//! the row reports the median window as its rate, with the quartiles
+//! beside it, so one noisy stretch of a shared host moves a quartile, not
+//! the rate, and a parent/change pair shows how far its rows spread. The
+//! emitted JSON holds one trajectory point. See `docs/PERFORMANCE.md`.
 
 use std::time::Instant;
 
@@ -49,6 +55,9 @@ const SECTOR_OP: &str = "sector op";
 /// What a stream row counts.
 const PAGE_OP: &str = "page";
 
+/// Windows a row's measured time is split into.
+const WINDOWS: usize = 5;
+
 /// One measured workload.
 struct Measurement {
     workload: &'static str,
@@ -62,11 +71,24 @@ struct Measurement {
     sim_ns: u64,
     /// Heap allocation events during the measured window.
     allocs: u64,
+    /// Operations per wall-clock second in each of the [`WINDOWS`]
+    /// windows, ascending.
+    window_rates: [f64; WINDOWS],
 }
 
 impl Measurement {
+    /// The median window's operations per wall-clock second.
     fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / (self.wall_ns as f64 / 1e9)
+        self.window_rates[WINDOWS / 2]
+    }
+    /// The lower quartile of the windows' rates: with five windows, the
+    /// second slowest (the inclusive method's quartile).
+    fn ops_per_sec_q1(&self) -> f64 {
+        self.window_rates[1]
+    }
+    /// The upper quartile: the second fastest window.
+    fn ops_per_sec_q3(&self) -> f64 {
+        self.window_rates[WINDOWS - 2]
     }
     /// Simulated seconds that pass per wall-clock second.
     fn sim_per_wall(&self) -> f64 {
@@ -77,9 +99,10 @@ impl Measurement {
     }
 }
 
-/// Runs `f` until it has consumed at least `min_wall_ms` of wall time,
-/// then returns the measurement. `f` must return the number of sector
-/// operations it did (its workload is fixed per call).
+/// Runs `f` until it has consumed at least `min_wall_ms` of wall time, in
+/// [`WINDOWS`] windows of equal length, then returns the measurement. `f`
+/// must return the number of sector operations it did (its workload is
+/// fixed per call).
 fn measure(
     workload: &'static str,
     clock: &SimClock,
@@ -99,23 +122,34 @@ fn measure_in(
 ) -> Measurement {
     // Warmup: one call, untimed (fills caches and scratch vectors).
     f();
+    let window_ms = min_wall_ms.div_ceil(WINDOWS as u64);
     let allocs0 = alloc_count::allocs();
     let sim0 = clock.now();
-    let wall0 = Instant::now();
-    let mut ops = 0u64;
-    loop {
-        ops += std::hint::black_box(f());
-        if wall0.elapsed().as_millis() as u64 >= min_wall_ms {
-            break;
-        }
+    let (mut ops, mut wall_ns) = (0u64, 0u128);
+    let mut window_rates = [0.0; WINDOWS];
+    for rate in &mut window_rates {
+        let wall0 = Instant::now();
+        let mut window_ops = 0u64;
+        let elapsed = loop {
+            window_ops += std::hint::black_box(f());
+            let elapsed = wall0.elapsed();
+            if elapsed.as_millis() as u64 >= window_ms {
+                break elapsed;
+            }
+        };
+        *rate = window_ops as f64 / elapsed.as_secs_f64();
+        ops += window_ops;
+        wall_ns += elapsed.as_nanos();
     }
+    window_rates.sort_by(f64::total_cmp);
     Measurement {
         workload,
         op,
         ops,
-        wall_ns: wall0.elapsed().as_nanos(),
+        wall_ns,
         sim_ns: (clock.now() - sim0).as_nanos(),
         allocs: alloc_count::allocs() - allocs0,
+        window_rates,
     }
 }
 
@@ -522,15 +556,24 @@ fn run_all(min_wall_ms: u64, only: Option<&str>) -> Vec<Measurement> {
 fn print_point(rows: &[Measurement]) {
     println!("\n== wall-clock throughput");
     println!(
-        "{:<14} {:>10} {:>14} {:>14} {:>12} {:>12}",
-        "workload", "op", "ops/s", "sim-s/wall-s", "allocs/op", "ops"
+        "{:<14} {:>10} {:>14} {:>14} {:>14} {:>14} {:>12} {:>12}",
+        "workload",
+        "op",
+        "ops/s q1",
+        "ops/s median",
+        "ops/s q3",
+        "sim-s/wall-s",
+        "allocs/op",
+        "ops"
     );
     for m in rows {
         println!(
-            "{:<14} {:>10} {:>14.0} {:>14.1} {:>12.3} {:>12}",
+            "{:<14} {:>10} {:>14.0} {:>14.0} {:>14.0} {:>14.1} {:>12.3} {:>12}",
             m.workload,
             m.op,
+            m.ops_per_sec_q1(),
             m.ops_per_sec(),
+            m.ops_per_sec_q3(),
             m.sim_per_wall(),
             m.allocs_per_op(),
             m.ops
@@ -542,17 +585,20 @@ fn json_point(rows: &[Measurement]) -> String {
     // The point keeps the `config` key of the historic points in
     // `BENCH_wall.json`, so the trajectory reads as one series. Historic
     // rows count sector operations under `sector_ops_per_sec`; these name
-    // their op.
+    // their op. `ops_per_sec` is the median window's rate, and the
+    // quartiles of the windows' rates stand beside it.
     let mut out = "    {\n      \"config\": \"optimized\",\n".to_string();
     out.push_str("      \"workloads\": {\n");
     let inner: Vec<String> = rows
         .iter()
         .map(|m| {
             format!(
-                "        \"{}\": {{ \"op\": \"{}\", \"ops_per_sec\": {:.1}, \"sim_sec_per_wall_sec\": {:.2}, \"allocs_per_op\": {:.4}, \"ops\": {}, \"wall_ns\": {}, \"sim_ns\": {} }}",
+                "        \"{}\": {{ \"op\": \"{}\", \"ops_per_sec\": {:.1}, \"ops_per_sec_q1\": {:.1}, \"ops_per_sec_q3\": {:.1}, \"sim_sec_per_wall_sec\": {:.2}, \"allocs_per_op\": {:.4}, \"ops\": {}, \"wall_ns\": {}, \"sim_ns\": {} }}",
                 m.workload,
                 m.op,
                 m.ops_per_sec(),
+                m.ops_per_sec_q1(),
+                m.ops_per_sec_q3(),
                 m.sim_per_wall(),
                 m.allocs_per_op(),
                 m.ops,

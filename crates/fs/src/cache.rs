@@ -11,13 +11,23 @@
 //! * a **leader-page cache**: the label and decoded contents of each
 //!   file's page 0, filled by every leader read or write.
 //!
-//! Nothing cached here is ever *believed*. A snapshot is only served while
+//! Nothing cached here is ever *believed*. The cache keeps one write epoch
+//! at which everything it holds is fresh, and serves a snapshot only while
 //! the disk's [`write_epoch`](alto_disk::Disk::write_epoch) still equals
-//! the value captured when it was taken — any write to the medium, through
-//! the file system or behind its back, silently retires it — and a
-//! positive name-index hit is additionally verified against the target's
-//! leader label before the caller sees it (the §3.3 check). A stale hit
-//! therefore costs a fallback to the linear scan; it can never corrupt.
+//! it: every accessor and install first compares the two, and if the disk
+//! moved on, drops everything held and adopts the disk's value. Any write
+//! to the medium retires the cache that way — a label rewrite, an
+//! allocation, a free, a leader or directory write, a write that failed,
+//! and every write behind the file system's back — except one kind: the
+//! file system's own label-verified write of a plain file's data pages
+//! (page ≥ 1), every write of which came back `Ok`, carries the epoch
+//! forward (`HintCache::carry`). Such a write cannot have touched a
+//! directory page or a leader (§3.3: the check refuses a wrong sector
+//! before the value transfers, and the captured label names the page).
+//! A positive name-index hit is additionally verified against the
+//! target's leader label before the caller sees it (the §3.3 check). A
+//! stale hit therefore costs a fallback to the linear scan; it can never
+//! corrupt.
 //!
 //! The cache can be disabled wholesale
 //! ([`set_hint_cache_enabled`](crate::FileSystem::set_hint_cache_enabled))
@@ -63,8 +73,6 @@ pub struct CacheStats {
 struct DirIndex {
     /// The directory leader address the snapshot was read through.
     leader_da: DiskAddress,
-    /// [`Disk::write_epoch`](alto_disk::Disk::write_epoch) at snapshot time.
-    epoch: u64,
     entries: Vec<DirEntry>,
     /// Casefolded name → index of the *first* matching entry (directories
     /// may hold duplicates after adoption; lookup returns the first).
@@ -75,15 +83,22 @@ struct DirIndex {
 #[derive(Debug, Clone)]
 struct CachedLeader {
     leader_da: DiskAddress,
-    epoch: u64,
     label: Label,
     leader: LeaderPage,
 }
 
 /// The unified in-core hint cache carried by every mounted file system.
+///
+/// Everything it holds is fresh at one write epoch, `epoch`. Every accessor
+/// and install takes the disk's current epoch and first [syncs](Self::sync)
+/// to it: if the disk moved on, every entry goes. The file system's own
+/// verified data writes [carry](Self::carry) the epoch across them instead.
 #[derive(Debug)]
 pub(crate) struct HintCache {
     enabled: bool,
+    /// The [`Disk::write_epoch`](alto_disk::Disk::write_epoch) at which
+    /// every entry held is fresh.
+    epoch: u64,
     dirs: BTreeMap<Fv, DirIndex>,
     leaders: BTreeMap<Fv, CachedLeader>,
     pub(crate) stats: CacheStats,
@@ -93,6 +108,7 @@ impl HintCache {
     pub(crate) fn new() -> HintCache {
         HintCache {
             enabled: true,
+            epoch: 0,
             dirs: BTreeMap::new(),
             leaders: BTreeMap::new(),
             stats: CacheStats::default(),
@@ -112,14 +128,47 @@ impl HintCache {
         }
     }
 
-    /// The fresh entries of `dir`, or None. A snapshot taken at another
-    /// write epoch or through another leader address is retired on sight.
+    /// Drops every entry if the disk's write epoch has moved from the one
+    /// the cache holds, counting each as an invalidation, and adopts it.
+    fn sync(&mut self, epoch: u64) {
+        if epoch == self.epoch {
+            return;
+        }
+        self.epoch = epoch;
+        // `clear` frees a map's nodes even when it holds nothing, and the
+        // write path's leader round trip (take, write, install) reaches
+        // this point with the leader map empty when that leader was the
+        // only one held: skip it then, so the cycle stays heap-free.
+        if !self.dirs.is_empty() {
+            self.stats.invalidations += self.dirs.len() as u64;
+            self.dirs.clear();
+        }
+        if !self.leaders.is_empty() {
+            self.stats.invalidations += self.leaders.len() as u64;
+            self.leaders.clear();
+        }
+    }
+
+    /// Carries the cache across a write that cannot have changed anything
+    /// it holds, which moved the disk's write epoch from `before` to
+    /// `after`. A cache that was not fresh at `before` stays behind and is
+    /// retired at its next use.
+    pub(crate) fn carry(&mut self, before: u64, after: u64) {
+        if self.epoch == before {
+            self.epoch = after;
+        }
+    }
+
+    /// The fresh entries of `dir`, or None. A snapshot the disk's write
+    /// epoch has moved past, or read through another leader address, is
+    /// retired on sight.
     pub(crate) fn dir_entries(&mut self, dir: FileFullName, epoch: u64) -> Option<&[DirEntry]> {
         if !self.enabled {
             return None;
         }
+        self.sync(epoch);
         let fresh = match self.dirs.get(&dir.fv) {
-            Some(idx) => idx.epoch == epoch && idx.leader_da == dir.leader_da,
+            Some(idx) => idx.leader_da == dir.leader_da,
             None => return None,
         };
         if !fresh {
@@ -152,6 +201,7 @@ impl HintCache {
         if !self.enabled {
             return;
         }
+        self.sync(epoch);
         let mut by_name = BTreeMap::new();
         for (i, e) in entries.iter().enumerate() {
             by_name.entry(casefold(&e.name)).or_insert(i);
@@ -160,7 +210,6 @@ impl HintCache {
             dir.fv,
             DirIndex {
                 leader_da: dir.leader_da,
-                epoch,
                 entries,
                 by_name,
             },
@@ -180,8 +229,9 @@ impl HintCache {
         if !self.enabled {
             return None;
         }
+        self.sync(epoch);
         let fresh = match self.leaders.get(&file.fv) {
-            Some(c) => c.epoch == epoch && c.leader_da == file.leader_da,
+            Some(c) => c.leader_da == file.leader_da,
             None => return None,
         };
         if !fresh {
@@ -206,10 +256,9 @@ impl HintCache {
         if !self.enabled {
             return None;
         }
+        self.sync(epoch);
         match self.leaders.remove(&file.fv) {
-            Some(c) if c.epoch == epoch && c.leader_da == file.leader_da => {
-                Some((c.label, c.leader))
-            }
+            Some(c) if c.leader_da == file.leader_da => Some((c.label, c.leader)),
             Some(_) => {
                 self.stats.invalidations += 1;
                 None
@@ -230,11 +279,11 @@ impl HintCache {
         if !self.enabled {
             return;
         }
+        self.sync(epoch);
         self.leaders.insert(
             file.fv,
             CachedLeader {
                 leader_da: file.leader_da,
-                epoch,
                 label,
                 leader,
             },

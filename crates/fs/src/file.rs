@@ -247,7 +247,8 @@ impl<D: Disk> FileSystem<D> {
         let epoch = self.disk.write_epoch();
         // lint: allow(hint-reverify) — the snapshot is epoch-gated, not stale:
         // dir_entries returns None unless the disk write epoch still matches
-        // the one captured when the full directory read installed it
+        // the cache's, which is carried only across this file system's own
+        // label-verified writes of plain files' data pages
         let entries = self.cache.dir_entries(dir, epoch)?.to_vec();
         self.cache.stats.name_hits += 1;
         self.trace_cache("fs.cache_hit", || {
@@ -430,8 +431,69 @@ impl<D: Disk> FileSystem<D> {
 
     /// Writes the data of the page named `pn` (ordinary write; label
     /// checked at no cost, not modified).
+    ///
+    /// A verified write of a plain file's data page (page ≥ 1) keeps the
+    /// hint cache; a leader's, a directory page's or a failed one retires
+    /// it (see [`crate::cache`]).
     pub fn write_page(&mut self, pn: PageName, data: &[u16; DATA_WORDS]) -> Result<Label, FsError> {
-        page::write_page(&mut self.disk, pn, data)
+        let before = self.disk.write_epoch();
+        let label = page::write_page(&mut self.disk, pn, data);
+        self.carry_hints(pn.fv, before, pn.page >= 1 && label.is_ok());
+        label
+    }
+
+    /// Transfers pages of the file `fv` as one chained batch: the writes,
+    /// then `read_count` reads guessed consecutive from `read_start`, with
+    /// [`page::transfer`]'s checks, retry rule and outputs. Every write of
+    /// file pages in a chain goes through here, and every read that shares
+    /// a chain with writes.
+    ///
+    /// When every write is of a plain file's data page (page ≥ 1) and came
+    /// back `Ok`, the batch keeps the hint cache; any other write in it
+    /// retires the cache (see [`crate::cache`]). Reads move nothing.
+    pub fn transfer(
+        &mut self,
+        fv: Fv,
+        writes: &[(u16, DiskAddress, [u16; DATA_WORDS])],
+        read_start: Option<PageName>,
+        read_count: u16,
+        write_out: &mut Vec<Result<Label, FsError>>,
+        read_out: &mut Vec<page::PageResult>,
+    ) -> Result<(), FsError> {
+        let before = self.disk.write_epoch();
+        page::transfer(
+            &mut self.disk,
+            fv,
+            writes,
+            read_start,
+            read_count,
+            write_out,
+            read_out,
+        )?;
+        let data_pages = writes.iter().all(|&(page, ..)| page >= 1);
+        self.carry_hints(
+            fv,
+            before,
+            data_pages && write_out.iter().all(Result::is_ok),
+        );
+        Ok(())
+    }
+
+    /// Carries the hint cache across a write of file `fv`'s pages that
+    /// this file system just made from the disk's write epoch `before`,
+    /// when `verified_data` says the write was of data pages (page ≥ 1)
+    /// and every one came back `Ok`, and `fv` is a plain file. The check
+    /// refused a wrong sector before its value transferred, and the
+    /// captured label matched the full name, so each sector was a data
+    /// page of a file whose serial has no directory flag: neither a
+    /// directory page nor a leader, the only pages the cache holds. Every
+    /// other write leaves the cache behind the disk, so it retires at its
+    /// next use.
+    fn carry_hints(&mut self, fv: Fv, before: u64, verified_data: bool) {
+        if verified_data && !fv.serial.is_directory() {
+            let after = self.disk.write_epoch();
+            self.cache.carry(before, after);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -505,8 +567,10 @@ impl<D: Disk> FileSystem<D> {
     /// The leader label and decoded leader page of `file`, served from the
     /// leader cache when a fresh copy is held (skipping a disk revolution)
     /// and filling it otherwise. A hit is exactly equivalent to re-reading:
-    /// entries are only held while the disk's write epoch stands still, so
-    /// the read that installed them would still succeed, unchanged.
+    /// entries are only held while no write but this file system's own
+    /// verified data writes, which never touch a leader, has reached the
+    /// disk, so the read that installed them would still succeed,
+    /// unchanged.
     pub fn open_leader(&mut self, file: FileFullName) -> Result<(Label, LeaderPage), FsError> {
         let epoch = self.disk.write_epoch();
         if let Some((label, leader)) = self.cache.leader(file, epoch) {
@@ -719,8 +783,10 @@ impl<D: Disk> FileSystem<D> {
         if leader.maybe_consecutive && file.fv.serial.words()[1] != 0 {
             // Staging and result vectors live on the file system and are
             // reused across batches: a warm rewrite allocates nothing here.
-            let writes = &mut self.write_pages;
-            let labels = &mut self.write_labels;
+            // They are lent to the loop and put back after it (a failed
+            // batch drops them, and the next rewrite allocates afresh).
+            let mut writes = std::mem::take(&mut self.write_pages);
+            let mut labels = std::mem::take(&mut self.write_labels);
             while n < new_pages && !da.is_nil() {
                 // Only full, already-existing pages belong in a batch:
                 // clamp to the page before the last new one and to the old
@@ -740,20 +806,12 @@ impl<D: Disk> FileSystem<D> {
                     pack_bytes(&bytes[start..start + PAGE_BYTES], &mut data);
                     writes.push((n + j, DiskAddress(da.0.wrapping_add(j)), data));
                 }
-                page::transfer(
-                    &mut self.disk,
-                    file.fv,
-                    writes,
-                    None,
-                    0,
-                    labels,
-                    &mut Vec::new(),
-                )?;
+                self.transfer(file.fv, &writes, None, 0, &mut labels, &mut Vec::new())?;
                 // Act on the run's last page, or on the entry that ended it:
                 // that one sits at a link-confirmed address, so its failure
                 // is the file's, and re-issuing it would grant a spent retry
                 // budget afresh.
-                let end = page::confirmed_write_run(da, labels).min(usize::from(count) - 1);
+                let end = page::confirmed_write_run(da, &labels).min(usize::from(count) - 1);
                 let captured = *labels[end].as_ref().map_err(FsError::clone)?;
                 let (_, this_da, ref data) = writes[end];
                 let end = end as u16;
@@ -781,6 +839,8 @@ impl<D: Disk> FileSystem<D> {
                 }
                 da = captured.next;
             }
+            self.write_pages = writes;
+            self.write_labels = labels;
         }
 
         while n <= new_pages {

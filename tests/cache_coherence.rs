@@ -263,3 +263,194 @@ fn recreate_same_name_tracks_through_the_index() {
         assert_eq!(dir::lookup(&mut fs, root, "phoenix").unwrap(), None);
     }
 }
+
+/// Disk commands issued so far: each operation issued on its own, plus
+/// each chained batch.
+fn commands(fs: &FileSystem<DiskDrive>) -> u64 {
+    let s = fs.disk().stats();
+    s.ops - s.batched_ops + s.batches
+}
+
+/// A file system's own verified writes of a plain file's data pages keep
+/// the hint cache: after a same-length stream rewrite and `close`, a
+/// lookup of another name is an index hit that costs one command, its
+/// leader check, and the `open` after it costs none.
+#[test]
+fn a_plain_files_stream_rewrite_keeps_the_index_warm() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let root = fs.root_dir();
+    let edited = dir::create_named_file(&mut fs, root, "edited.dat").unwrap();
+    let other = dir::create_named_file(&mut fs, root, "other.dat").unwrap();
+    let len = 5 * 512 + 100;
+    fs.write_file(edited, &vec![1u8; len]).unwrap();
+    fs.write_file(other, b"other").unwrap();
+    assert_eq!(
+        dir::lookup(&mut fs, root, "edited.dat").unwrap(),
+        Some(edited)
+    );
+
+    // The bulk write's chain sends pages 1..5 without reading them and
+    // reads the partial tail; `close` writes the tail back.
+    let mut s = DiskByteStream::open(&mut fs, edited).unwrap();
+    s.write_bytes(&mut fs, &vec![2u8; len]).unwrap();
+    s.close(&mut fs).unwrap();
+
+    let stats = fs.cache_stats();
+    let before = commands(&fs);
+    assert_eq!(
+        dir::lookup(&mut fs, root, "other.dat").unwrap(),
+        Some(other)
+    );
+    assert_eq!(
+        commands(&fs) - before,
+        1,
+        "the lookup scanned the directory"
+    );
+    let after = fs.cache_stats();
+    assert_eq!(after.name_hits, stats.name_hits + 1);
+    assert_eq!(after.name_misses, stats.name_misses);
+    assert_eq!(after.invalidations, stats.invalidations);
+    let before = commands(&fs);
+    let mut s = DiskByteStream::open(&mut fs, other).unwrap();
+    assert_eq!(commands(&fs), before, "the open went to the disk");
+    s.close(&mut fs).unwrap();
+    assert_eq!(fs.read_file(edited).unwrap(), vec![2u8; len]);
+}
+
+/// A same-length rewrite of a *directory* through a stream is made of
+/// ordinary data writes that all verify, yet they change what the name
+/// index holds: the directory flag in the serial keeps them from carrying
+/// the cache, so the next lookup sees the new entry.
+#[test]
+fn a_same_length_directory_rewrite_through_a_stream_retires_the_index() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let root = fs.root_dir();
+    let a = dir::create_named_file(&mut fs, root, "apple.txt").unwrap();
+    assert_eq!(dir::lookup(&mut fs, root, "apple.txt").unwrap(), Some(a));
+    assert_eq!(dir::lookup(&mut fs, root, "mango.txt").unwrap(), None);
+
+    // Rename the entry in place, same length, straight onto the disk.
+    let bytes = fs.read_file(root).unwrap();
+    let at = bytes
+        .windows(9)
+        .position(|w| w == b"apple.txt")
+        .expect("the entry's name");
+    let mut renamed = bytes.clone();
+    renamed[at..at + 9].copy_from_slice(b"mango.txt");
+    let mut s = DiskByteStream::open(&mut fs, root).unwrap();
+    s.write_bytes(&mut fs, &renamed).unwrap();
+    s.close(&mut fs).unwrap();
+    assert_eq!(fs.read_file(root).unwrap(), renamed);
+
+    assert_eq!(dir::lookup(&mut fs, root, "mango.txt").unwrap(), Some(a));
+    assert_eq!(dir::lookup(&mut fs, root, "apple.txt").unwrap(), None);
+}
+
+/// A raw data write through `disk_mut()`, between two of the file
+/// system's own, still retires the index: the carry moves the cache's
+/// epoch only from the value it held just before the file system's own
+/// write, so a write it did not make stays visible. Later answers agree
+/// with an uncached scan.
+#[test]
+fn a_raw_data_write_between_the_file_systems_own_retires_the_index() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let root = fs.root_dir();
+    let f = dir::create_named_file(&mut fs, root, "data.dat").unwrap();
+    let g = dir::create_named_file(&mut fs, root, "more.dat").unwrap();
+    fs.write_file(f, &vec![1u8; 2 * 512]).unwrap();
+    assert_eq!(dir::lookup(&mut fs, root, "data.dat").unwrap(), Some(f));
+
+    let page1 = alto::fs::PageName::new(f.fv, 1, fs.open_leader(f).unwrap().0.next);
+    fs.write_page(page1, &[3; 256]).unwrap();
+    alto::fs::page::write_page(fs.disk_mut(), page1, &[4; 256]).unwrap();
+    fs.write_page(page1, &[5; 256]).unwrap();
+
+    let stats = fs.cache_stats();
+    assert_eq!(dir::lookup(&mut fs, root, "more.dat").unwrap(), Some(g));
+    let after = fs.cache_stats();
+    assert_eq!(
+        after.name_misses,
+        stats.name_misses + 1,
+        "served from the index"
+    );
+    assert!(after.invalidations > stats.invalidations, "nothing retired");
+
+    for name in ["data.dat", "more.dat", "missing"] {
+        let warm = dir::lookup(&mut fs, root, name).unwrap();
+        fs.set_hint_cache_enabled(false);
+        let cold = dir::lookup(&mut fs, root, name).unwrap();
+        fs.set_hint_cache_enabled(true);
+        assert_eq!(warm, cold, "{name}");
+    }
+    assert_eq!(&fs.read_file(f).unwrap()[..2], &[0, 5]);
+}
+
+/// A leader written as an ordinary page (page 0 through `write_page`, not
+/// the leader install) retires the leader cache: the next open reads the
+/// leader the disk now holds.
+#[test]
+fn a_leader_written_as_a_page_retires_the_leader_cache() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let root = fs.root_dir();
+    let f = dir::create_named_file(&mut fs, root, "lead.dat").unwrap();
+    let mut leader = fs.read_leader(f).unwrap();
+    leader.properties[0] = 0x1234;
+    fs.write_page(f.leader_page(), &leader.encode()).unwrap();
+    assert_eq!(fs.read_leader(f).unwrap().properties[0], 0x1234);
+}
+
+/// A write that fails retires the index even when it was the file
+/// system's own data write: here a parked page's drain that ends in a hard
+/// error. The drive counted the attempt as a write, and a failed entry
+/// proves nothing about the sector.
+#[test]
+fn a_failed_drain_retires_the_index() {
+    use alto::disk::FaultKind;
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let root = fs.root_dir();
+    let f = dir::create_named_file(&mut fs, root, "park.dat").unwrap();
+    let g = dir::create_named_file(&mut fs, root, "watch.dat").unwrap();
+    fs.write_file(f, &vec![0u8; 8 * 512]).unwrap();
+    assert_eq!(dir::lookup(&mut fs, root, "park.dat").unwrap(), Some(f));
+
+    // Byte writes into page 3: page 1 drains with the refill into page 2,
+    // and page 2 is left parked.
+    let page1 = fs.open_leader(f).unwrap().0.next;
+    let page2 = fs
+        .read_page(alto::fs::PageName::new(f.fv, 1, page1))
+        .unwrap()
+        .0
+        .next;
+    let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+    for _ in 0..2 * 512 + 10 {
+        s.put_byte(&mut fs, 9).unwrap();
+    }
+    fs.disk_mut()
+        .injector_mut()
+        .arm(page2, FaultKind::NotReady { attempts: 100 });
+    assert!(s.flush(&mut fs).is_err(), "the drain must fail");
+
+    let stats = fs.cache_stats();
+    assert_eq!(dir::lookup(&mut fs, root, "watch.dat").unwrap(), Some(g));
+    let after = fs.cache_stats();
+    assert_eq!(
+        after.name_misses,
+        stats.name_misses + 1,
+        "served from the index"
+    );
+    assert!(after.invalidations > stats.invalidations, "nothing retired");
+
+    fs.disk_mut().injector_mut().disarm(page2);
+    s.close(&mut fs).unwrap();
+    for name in ["park.dat", "watch.dat"] {
+        let warm = dir::lookup(&mut fs, root, name).unwrap();
+        fs.set_hint_cache_enabled(false);
+        let cold = dir::lookup(&mut fs, root, name).unwrap();
+        fs.set_hint_cache_enabled(true);
+        assert_eq!(warm, cold, "{name}");
+    }
+    assert_eq!(
+        &fs.read_file(f).unwrap()[..2 * 512 + 10],
+        &[9u8; 2 * 512 + 10][..]
+    );
+}

@@ -2,6 +2,11 @@
 //! in-memory model. After every operation — including crashes, scavenges
 //! and compactions — the file system must agree with the model exactly.
 //! Driven by the in-tree deterministic PRNG so the suite runs offline.
+//!
+//! Writes come both through `write_file` and through a disk stream (one
+//! bulk `write_bytes`, then `close`): the stream's writes are the file
+//! system's own verified data writes, which keep the hint cache, so the
+//! cached answers are checked after them too.
 
 use alto::prelude::*;
 use alto::sim::SplitMix64;
@@ -11,6 +16,9 @@ use std::collections::BTreeMap;
 enum Op {
     Create(usize),
     Write(usize, Vec<u8>),
+    /// A stream rewrite from byte 0: at the file's own length when the
+    /// flag is set, else at the length of the bytes given.
+    StreamWrite(usize, Vec<u8>, bool),
     Delete(usize),
     Rename(usize, usize),
     Scavenge,
@@ -20,24 +28,38 @@ enum Op {
 
 const NAMES: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
 
+/// Files never grow past this many bytes.
+const MAX_LEN: usize = 2000;
+
+fn random_bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u16() as u8).collect()
+}
+
 fn random_op(rng: &mut SplitMix64) -> Op {
-    // Weights mirror the original strategy: 3 create, 4 write, 2 delete,
-    // 1 rename, 1 scavenge, 1 crash+scavenge, 1 compact (total 13).
-    match rng.next_below(13) {
+    // Weights: 3 create, 4 write, 2 stream write, 2 delete, 1 rename,
+    // 1 scavenge, 1 crash+scavenge, 1 compact (total 15).
+    match rng.next_below(15) {
         0..=2 => Op::Create(rng.next_below(NAMES.len() as u64) as usize),
         3..=6 => {
             let i = rng.next_below(NAMES.len() as u64) as usize;
-            let len = rng.next_below(2000) as usize;
-            let bytes = (0..len).map(|_| rng.next_u16() as u8).collect();
-            Op::Write(i, bytes)
+            let len = rng.next_below(MAX_LEN as u64) as usize;
+            Op::Write(i, random_bytes(rng, len))
         }
-        7..=8 => Op::Delete(rng.next_below(NAMES.len() as u64) as usize),
-        9 => Op::Rename(
+        7..=8 => {
+            let i = rng.next_below(NAMES.len() as u64) as usize;
+            let same_length = rng.next_below(2) == 0;
+            let len = rng.next_below(MAX_LEN as u64) as usize;
+            // A same-length rewrite takes a prefix as long as the file.
+            let len = if same_length { MAX_LEN } else { len };
+            Op::StreamWrite(i, random_bytes(rng, len), same_length)
+        }
+        9..=10 => Op::Delete(rng.next_below(NAMES.len() as u64) as usize),
+        11 => Op::Rename(
             rng.next_below(NAMES.len() as u64) as usize,
             rng.next_below(NAMES.len() as u64) as usize,
         ),
-        10 => Op::Scavenge,
-        11 => Op::CrashAndScavenge,
+        12 => Op::Scavenge,
+        13 => Op::CrashAndScavenge,
         _ => Op::Compact,
     }
 }
@@ -113,6 +135,26 @@ fn file_system_matches_the_model() {
                     let f = dir::lookup(&mut fs, root, name).unwrap().unwrap();
                     fs.write_file(f, &bytes).unwrap();
                     model.insert(name.to_string(), bytes);
+                }
+                Op::StreamWrite(i, bytes, same_length) => {
+                    let name = NAMES[i];
+                    let Some(old) = model.get(name) else {
+                        continue;
+                    };
+                    let new = if same_length {
+                        &bytes[..old.len()]
+                    } else {
+                        &bytes[..]
+                    };
+                    let root = fs.root_dir();
+                    let f = dir::lookup(&mut fs, root, name).unwrap().unwrap();
+                    let mut s = DiskByteStream::open(&mut fs, f).unwrap();
+                    s.write_bytes(&mut fs, new).unwrap();
+                    s.close(&mut fs).unwrap();
+                    // A stream overwrites from byte 0 and never truncates.
+                    let mut contents = new.to_vec();
+                    contents.extend_from_slice(old.get(new.len()..).unwrap_or_default());
+                    model.insert(name.to_string(), contents);
                 }
                 Op::Delete(i) => {
                     let name = NAMES[i];

@@ -71,6 +71,38 @@ fn e1_band_stream_rewrite_keeps_up_with_write_file() {
     assert_eq!(fs.read_file(f).unwrap(), bytes);
 }
 
+/// A file op right after another file's rewrite: the rewrite is the file
+/// system's own verified data writes, so the name index and the leader
+/// cache stay warm, and `open` reads no page. Lookup, open and a whole
+/// read of a consecutive 64-page file cost exactly two commands: the
+/// lookup's leader check and one chain that starts at page 1.
+#[test]
+fn a_file_op_after_a_rewrite_costs_two_commands() {
+    let mut fs = fresh_fs(DiskModel::Diablo31);
+    let read = consecutive_file(&mut fs, "read.dat", 64);
+    let edited = consecutive_file(&mut fs, "edited.dat", 8);
+    let root = fs.root_dir();
+    assert_eq!(dir::lookup(&mut fs, root, "read.dat").unwrap(), Some(read));
+    let mut s = DiskByteStream::open(&mut fs, edited).unwrap();
+    s.write_bytes(&mut fs, &[0x5Au8; 8 * 512]).unwrap();
+    s.close(&mut fs).unwrap();
+
+    let commands = |fs: &FileSystem<DiskDrive>| {
+        let s = fs.disk().stats();
+        s.ops - s.batched_ops + s.batches
+    };
+    let before = commands(&fs);
+    let mut buf = vec![0u8; 64 * 512];
+    let secs = timed(&mut fs, |fs| {
+        let f = dir::lookup(fs, root, "read.dat").unwrap().unwrap();
+        let mut s = DiskByteStream::open(fs, f).unwrap();
+        assert_eq!(s.read_bytes(fs, &mut buf).unwrap(), buf.len());
+        s.close(fs).unwrap();
+    });
+    assert_eq!(commands(&fs) - before, 2, "in {secs:.3} s");
+    assert_eq!(buf, vec![0xA5u8; 64 * 512]);
+}
+
 /// E2 — scavenging a 2.5 MB disk takes tens of seconds ("about a minute",
 /// §3.5). Two sweeps: the full label scan (flat) plus the link-check pass
 /// over live sectors (grows mildly with utilization).
